@@ -2,7 +2,7 @@
 
 Writes one CSV and one SVG per (d, branch) into --outdir and prints where each
 curve crosses zero. The analytic branch is closed-form; the tuned-state branch
-solves one LP per grid point.
+solves one LP per curve, for its local visibility.
 
 Usage: python scripts/keyrate_curves.py [--outdir results] [--steps 41]
 """

@@ -76,13 +76,8 @@ from .keyrate import (
     keyrate_point,
     local_visibility,
     pa_term_cc,
-    pa_zero_visibility,
-    qL_analytic,
-    rub_analytic,
     rub_asymptotic,
-    rub_lp,
     shannon_base_d,
-    thread_count,
     vcrit_asymptotic,
 )
 

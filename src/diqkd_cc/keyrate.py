@@ -5,16 +5,14 @@ All entropies are base-d ("dits"); multiply by log2(d) for bits.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import log, pi
 
 import numpy as np
 
-from .cglmp import CATALAN, LOCAL_BOUND, cglmp_value, idmax_closed_form, local_visibility_max_entangled
-from .polytope import STRATEGY_CAP, max_local_weight
+from .cglmp import CATALAN, local_visibility_max_entangled
+from .polytope import STRATEGY_CAP, max_local_visibility
 from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from .scenario import CorrelationTable, default_scenario, marginal, mix_with_white_noise
 
@@ -109,32 +107,6 @@ def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
     return qNL * shannon_base_d(alice_marginal_at_key, d)
 
 
-def qL_analytic(d: int, V: float) -> float:
-    """Maximal local weight for the mixed maximally-entangled table:
-    (1-V)/(1-V_L) above the local visibility V_L = 2/I_d^max, else 1."""
-    if not 0.0 <= V <= 1.0:
-        raise ValueError(f"visibility must lie in [0,1], got {V}")
-    VL = local_visibility_max_entangled(d)
-    return (1.0 - V) / (1.0 - VL) if V >= VL else 1.0
-
-
-def rub_analytic(d: int, V: float) -> KeyRatePoint:
-    """Closed-form branch for the maximally entangled state.
-
-    Assembled as pa - ec and cross-checked against the single-expression form
-    [(1+(d-1)V)/d] log_d(1+(d-1)V) + [(d-1)(1-V)/d] log_d(1-V) - (1-V)/(1-2/I_d^max).
-    """
-    qL = qL_analytic(d, V)
-    pa = max(0.0, 1.0 - qL)
-    ec = ec_term_isotropic(d, V)
-    r = pa - ec
-    VL = local_visibility_max_entangled(d)
-    if V >= VL:
-        closed = -ec + 1.0 - (1.0 - V) / (1.0 - LOCAL_BOUND / idmax_closed_form(d))
-        assert abs(r - closed) <= 1e-12, f"pa-ec route deviates from closed form by {abs(r - closed):.3e}"
-    return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=r, branch=ANALYTIC_MAX_ENTANGLED)
-
-
 @lru_cache(maxsize=32)
 def nonlocal_table(d: int, branch: str) -> CorrelationTable:
     """Ideal (V=1) table of the branch's state under the optimal phases."""
@@ -147,33 +119,39 @@ def nonlocal_table(d: int, branch: str) -> CorrelationTable:
     return cglmp_born_table(state, default_scenario(d))
 
 
-def rub_lp(d: int, V: float, branch: str, cap: int = STRATEGY_CAP) -> KeyRatePoint:
-    """LP branch: mix the branch's ideal table with white noise, maximize the
-    local weight, and assemble pa (from the ideal table's key marginal) minus
-    ec (from the observed table)."""
+@lru_cache(maxsize=32)
+def local_visibility(d: int, branch: str, cap: int = STRATEGY_CAP) -> float:
+    """Largest visibility V_L at which the branch's mixed table is still local.
+
+    Analytic branch: 2/I_d^max. LP branches: one LP over the local polytope,
+    solved once per (d, branch, cap) and cached.
+    """
     if branch == ANALYTIC_MAX_ENTANGLED:
-        return rub_analytic(d, V)
-    pNL = nonlocal_table(d, branch)
-    observed = mix_with_white_noise(pNL, V)
-    dec = max_local_weight(observed, pNL, cap=cap)
-    key_marginal = marginal(pNL, "A", pNL.scenario.keyX)
-    pa = pa_term_cc(dec.qL, key_marginal)
-    ec = ec_term_general(observed)
-    return KeyRatePoint(V=V, qL=dec.qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
+        return local_visibility_max_entangled(d)
+    return max_local_visibility(nonlocal_table(d, branch), cap=cap)
 
 
 def keyrate_point(d: int, V: float, branch: str, cap: int = STRATEGY_CAP) -> KeyRatePoint:
-    if branch == ANALYTIC_MAX_ENTANGLED:
-        return rub_analytic(d, V)
-    return rub_lp(d, V, branch, cap=cap)
+    """r_ub = pa - ec at visibility V.
 
-
-def local_visibility(d: int, branch: str) -> float:
-    """Largest V with local weight 1 achievable: the local bound over the
-    branch state's ideal violation."""
+    The mixed table lies on the segment from white noise to the ideal table,
+    where Eve's maximal local weight is qL = min(1, (1-V)/(1-V_L)). The
+    analytic branch takes pa = 1 - qL and the isotropic EC term; the LP
+    branches take pa from the ideal table's key marginal and ec from the
+    mixed table.
+    """
+    if not 0.0 <= V <= 1.0:
+        raise ValueError(f"visibility must lie in [0,1], got {V}")
+    VL = local_visibility(d, branch, cap)
+    qL = (1.0 - V) / (1.0 - VL) if V >= VL else 1.0
     if branch == ANALYTIC_MAX_ENTANGLED:
-        return local_visibility_max_entangled(d)
-    return LOCAL_BOUND / cglmp_value(nonlocal_table(d, branch))
+        pa = 1.0 - qL
+        ec = ec_term_isotropic(d, V)
+    else:
+        pNL = nonlocal_table(d, branch)
+        pa = pa_term_cc(qL, marginal(pNL, "A", pNL.scenario.keyX))
+        ec = ec_term_general(mix_with_white_noise(pNL, V))
+    return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
 
 
 def _bisect(f, lo: float, hi: float, width: float = BISECTION_WIDTH) -> float:
@@ -192,37 +170,13 @@ def _bisect(f, lo: float, hi: float, width: float = BISECTION_WIDTH) -> float:
 
 def critical_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED,
                         cap: int = STRATEGY_CAP) -> CriticalVisibility:
-    """Root of r_ub(V) on [V_local, 1], located by bisection (width 1e-8);
+    """Root of r_ub(V) on [V_L, 1], located by bisection (width 1e-8);
     r_ub is monotone and changes sign on that bracket."""
     def f(V: float) -> float:
         return keyrate_point(d, V, branch, cap=cap).r_ub
 
-    lo = local_visibility(d, branch)
-    v = _bisect(f, lo, 1.0)
+    v = _bisect(f, local_visibility(d, branch, cap), 1.0)
     return CriticalVisibility(d=d, branch=branch, v_crit=v, residual=f(v))
-
-
-def pa_zero_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED,
-                       cap: int = STRATEGY_CAP, width: float = BISECTION_WIDTH) -> float:
-    """Largest visibility at which the PA-term is still zero (Eve holds every
-    round). Analytic branch: exactly the local visibility. LP branches:
-    bisection on the qL(V) = 1 boundary."""
-    if branch == ANALYTIC_MAX_ENTANGLED:
-        return local_visibility_max_entangled(d)
-
-    def fully_local(V: float) -> bool:
-        return rub_lp(d, V, branch, cap=cap).qL >= 1.0 - 1e-9
-
-    lo, hi = 0.0, 1.0
-    if not fully_local(lo):
-        raise BracketError("white noise is expected to be fully local")
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if fully_local(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def rub_asymptotic(V: float) -> float:
@@ -237,18 +191,13 @@ def vcrit_asymptotic() -> float:
 
 
 def thread_count() -> int:
-    """Worker cap for grid evaluation: DIQKD_CC_THREADS, else available cores."""
-    env = os.environ.get("DIQKD_CC_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"DIQKD_CC_THREADS must be >= 1, got {n}")
-        return n
-    return os.cpu_count() or 1
+    """Always 1: grids are evaluated in a single thread. Kept because
+    perfbench/run.py records it in every result's environment."""
+    return 1
 
 
 def keyrate_curve(d: int, branch: str, v_min: float, v_max: float, steps: int,
-                  cap: int = STRATEGY_CAP, threads: int | None = None) -> list[KeyRatePoint]:
+                  cap: int = STRATEGY_CAP) -> list[KeyRatePoint]:
     """Evaluate the branch on a uniform visibility grid, endpoints included."""
     if not (0.0 <= v_min < v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")
@@ -256,9 +205,4 @@ def keyrate_curve(d: int, branch: str, v_min: float, v_max: float, steps: int,
         raise ValueError(f"steps must be >= 2, got {steps}")
     grid = np.linspace(v_min, v_max, steps)
     grid[0], grid[-1] = v_min, v_max
-    workers = threads if threads is not None else thread_count()
-    if branch == ANALYTIC_MAX_ENTANGLED or workers == 1:
-        return [keyrate_point(d, float(V), branch, cap=cap) for V in grid]
-    nonlocal_table(d, branch)  # build once before fanning out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda V: keyrate_point(d, float(V), branch, cap=cap), grid))
+    return [keyrate_point(d, float(V), branch, cap=cap) for V in grid]

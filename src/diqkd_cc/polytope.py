@@ -171,6 +171,33 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
     return CcDecomposition(weights=weights, qNL=qNL, qL=qL, max_residual=max_residual)
 
 
+def max_local_visibility(pNL: CorrelationTable, cap: int = STRATEGY_CAP) -> float:
+    """Largest visibility V_L at which V pNL + (1-V) u is local, u = 1/d^2.
+
+    Solve: maximize V over q >= 0, 0 <= V <= 1 with
+    sum_i q_i p_i(a,b|x,y) - V (pNL - u)(a,b|x,y) = u(a,b|x,y) for all
+    (a,b,x,y) and sum q = 1. On the segment from u to pNL this fixes the
+    maximal local weight: qL(V) = min(1, (1-V)/(1-V_L)).
+    """
+    scenario = pNL.scenario
+    S = _strategy_matrix(scenario, cap)
+    n = S.shape[1]
+    u = np.full(S.shape[0], 1.0 / scenario.d**2)
+    v_col = sp.csc_array((u - _table_vector(pNL)).reshape(-1, 1))
+    total = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
+    A_eq = sp.vstack([sp.hstack([S, v_col]), total], format="csc")
+    b_eq = np.concatenate([u, [1.0]])
+    cost = np.concatenate([np.zeros(n), [-1.0]])
+    bounds = np.zeros((n + 1, 2))
+    bounds[:, 1] = np.inf
+    bounds[n, 1] = 1.0
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs", options=_LINPROG_OPTIONS)
+    if not res.success:
+        raise RuntimeError(f"local-visibility LP failed: {res.message}")
+    return float(res.x[n])
+
+
 def local_residual(t: CorrelationTable, cap: int = STRATEGY_CAP,
                    pNL: CorrelationTable | None = None) -> tuple[bool, float]:
     """Smallest uniform slack needed to write t as a strategy mixture

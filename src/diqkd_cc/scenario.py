@@ -166,13 +166,31 @@ def table_to_text(t: CorrelationTable) -> str:
 
 
 def table_from_text(text: str) -> CorrelationTable:
+    """Parse `table_to_text` output. Every (x, y, a, b) row must appear exactly
+    once, with 1-based indices in range and a finite value."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing `# d nA nB keyX keyY` header line")
     d, nA, nB, keyX, keyY = (int(v) for v in lines[0][1:].split())
     s = Scenario(d=d, nA=nA, nB=nB, keyX=keyX, keyY=keyY)
     p = np.zeros((d, d, nA, nB))
+    seen = np.zeros(p.shape, dtype=bool)
     for ln in lines[1:]:
         xs, ys, as_, bs, val = ln.split()
-        p[int(as_) - 1, int(bs) - 1, int(xs) - 1, int(ys) - 1] = float(val)
+        x, y, a, b = int(xs), int(ys), int(as_), int(bs)
+        if not (1 <= x <= nA and 1 <= y <= nB and 1 <= a <= d and 1 <= b <= d):
+            raise ValueError(f"row {ln.strip()!r}: need 1 <= x <= {nA}, 1 <= y <= {nB}, "
+                             f"1 <= a, b <= {d}")
+        value = float(val)
+        if not np.isfinite(value):
+            raise ValueError(f"row {ln.strip()!r}: value is not finite")
+        cell = (a - 1, b - 1, x - 1, y - 1)
+        if seen[cell]:
+            raise ValueError(f"duplicate row for (x, y, a, b) = ({x}, {y}, {a}, {b})")
+        seen[cell] = True
+        p[cell] = value
+    if not seen.all():
+        a, b, x, y = (int(i) + 1 for i in np.argwhere(~seen)[0])
+        raise ValueError(f"{int((~seen).sum())} rows missing, first (x, y, a, b) = "
+                         f"({x}, {y}, {a}, {b})")
     return CorrelationTable(s, p)

@@ -22,15 +22,12 @@ from diqkd_cc import (
     idmax_closed_form,
     is_local,
     keyrate_point,
+    local_visibility,
     local_visibility_max_entangled,
     max_local_weight,
     maximally_entangled_state,
     mix_with_white_noise,
     pa_term_cc,
-    pa_zero_visibility,
-    qL_analytic,
-    rub_analytic,
-    rub_lp,
     strategy_table,
     uniform_table,
     validate,
@@ -71,7 +68,7 @@ def test_criterion_2_lp_matches_analytic_weights(capsys):
         pNL = cglmp_born_table(maximally_entangled_state(d))
         for V in (local_visibility_max_entangled(d), 0.75, 0.85, 0.95, 1.0):
             qLP = max_local_weight(mix_with_white_noise(pNL, V), pNL).qL
-            worst = max(worst, abs(qLP - qL_analytic(d, V)))
+            worst = max(worst, abs(qLP - keyrate_point(d, V, ANALYTIC_MAX_ENTANGLED).qL))
     ok = worst <= 1e-6
     with capsys.disabled():
         _report(2, ok, f"LP vs analytic local weight, d=2..6 x 5 visibilities "
@@ -162,8 +159,8 @@ def test_criterion_6_branch_ordering_d3(capsys):
 def test_criterion_7_pa_term_zeros(capsys):
     """Visibility where the PA-term hits zero: 0.687 +- 0.01 (d=3, tuned state)
     and 0.707 +- 0.01 (d=2)."""
-    v3 = pa_zero_visibility(3, LP_CGLMP_STATE)
-    v2 = pa_zero_visibility(2, LP_MAX_ENTANGLED)
+    v3 = local_visibility(3, LP_CGLMP_STATE)
+    v2 = local_visibility(2, LP_MAX_ENTANGLED)
     ok3 = abs(v3 - 0.687) <= 0.01
     ok2 = abs(v2 - 0.707) <= 0.01
     ok = ok3 and ok2
@@ -223,8 +220,8 @@ def test_criterion_8_property_battery(capsys):
         and abs(ec_term_general(uniform3) - 1.0) <= 1e-12
         and pa_term_cc(1.0, np.full(3, 1 / 3)) == 0.0
         and abs(pa_term_cc(0.0, np.full(3, 1 / 3)) - 1.0) <= 1e-12
-        and abs(rub_analytic(3, 1.0).r_ub - 1.0) <= 1e-12
-        and abs(rub_lp(3, 0.0, LP_MAX_ENTANGLED).r_ub + 1.0) <= 1e-8)
+        and abs(keyrate_point(3, 1.0, ANALYTIC_MAX_ENTANGLED).r_ub - 1.0) <= 1e-12
+        and abs(keyrate_point(3, 0.0, LP_MAX_ENTANGLED).r_ub + 1.0) <= 1e-8)
 
     ok = all(checks.values())
     detail = ", ".join(f"{name} {'ok' if passed else 'FAIL'}"

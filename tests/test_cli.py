@@ -1,8 +1,14 @@
 """Command-line interface: output contracts, file formats, exit codes."""
+import os
+import subprocess
+import sys
 from math import log2
+from pathlib import Path
 
 import pytest
 
+import diqkd_cc
+from diqkd_cc import keyrate, polytope
 from diqkd_cc.cli import TABLE_HEADER, main
 
 
@@ -173,18 +179,6 @@ def test_curve_lp_branch(tmp_path, capsys):
     assert rows[-1][4] == pytest.approx(1.0, abs=1e-6)  # d=2 tuned state is maximally entangled
 
 
-def test_curve_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):
-    base = ["curve", "--d", "2", "--state", "max", "--method", "lp",
-            "--v-min", "0.8", "--v-max", "1.0", "--steps", "4"]
-    plain = tmp_path / "plain.csv"
-    run(base + ["--out", str(plain)], capsys)
-    monkeypatch.setenv("DIQKD_CC_THREADS", "2")
-    pinned = tmp_path / "pinned.csv"
-    code, _, _ = run(base + ["--out", str(pinned)], capsys)
-    assert code == 0
-    assert pinned.read_text() == plain.read_text()
-
-
 def test_curve_requires_out(capsys):
     code, _, err = run(["curve", "--d", "2", "--v-min", "0.8", "--v-max", "1.0",
                         "--steps", "3"], capsys)
@@ -245,3 +239,50 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_unknown_subcommand_is_usage_error(capsys):
     assert run(["frobnicate"], capsys)[0] == 1
+
+
+# ---------------------------------------------------------- LP count, -O
+
+@pytest.fixture
+def lp_counter(monkeypatch):
+    """Count linprog calls from a cold start of every cache on the LP path."""
+    keyrate.local_visibility.cache_clear()
+    keyrate.nonlocal_table.cache_clear()
+    polytope._strategy_matrix.cache_clear()
+    calls = []
+    solve = polytope.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", counted)
+    return calls
+
+
+def test_vcrit_tuned_state_solves_one_lp(lp_counter, capsys):
+    code, out, _ = run(["vcrit", "--d", "3", "--state", "cglmp"], capsys)
+    assert code == 0
+    assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"
+    assert len(lp_counter) == 1
+
+
+def test_curve_tuned_state_solves_one_lp(lp_counter, tmp_path, capsys):
+    target = tmp_path / "curve.csv"
+    code, _, _ = run(["curve", "--d", "3", "--state", "cglmp", "--v-min", "0.6",
+                      "--v-max", "1.0", "--steps", "41", "--out", str(target)], capsys)
+    assert code == 0
+    assert len(target.read_text().strip().splitlines()) == 42
+    assert len(lp_counter) == 1
+
+
+def test_table_output_does_not_depend_on_optimize_flag(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    outputs = []
+    for flags in ([], ["-O"]):
+        target = tmp_path / f"table{len(flags)}.csv"
+        subprocess.run([sys.executable, *flags, "-m", "diqkd_cc.cli", "table", "--d-min", "2",
+                        "--d-max", "6", "--out", str(target)], env=env, check=True, timeout=300)
+        outputs.append(target.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].startswith(TABLE_HEADER.encode())

@@ -1,5 +1,5 @@
-"""Key-rate bound assembly: entropies, analytic and LP branches, critical
-visibilities, the PA-zero threshold, grids, and the d->infinity limit."""
+"""Key-rate bound assembly: entropies, analytic and LP branches, the local
+visibility, critical visibilities, grids, and the d->infinity limit."""
 from math import log2, pi, sqrt
 
 import numpy as np
@@ -13,6 +13,7 @@ from diqkd_cc import (
     LP_CGLMP_STATE,
     LP_MAX_ENTANGLED,
     BracketError,
+    KeyRatePoint,
     cglmp_value,
     critical_visibility,
     ec_term_general,
@@ -23,15 +24,11 @@ from diqkd_cc import (
     keyrate_point,
     local_visibility,
     local_visibility_max_entangled,
+    max_local_weight,
     mix_with_white_noise,
     pa_term_cc,
-    pa_zero_visibility,
-    qL_analytic,
-    rub_analytic,
     rub_asymptotic,
-    rub_lp,
     shannon_base_d,
-    thread_count,
     uniform_table,
     vcrit_asymptotic,
 )
@@ -108,20 +105,20 @@ def test_pa_term_boundaries():
 
 def test_qL_analytic_boundaries():
     V_L = local_visibility_max_entangled(3)
-    assert qL_analytic(3, 1.0) == pytest.approx(0.0, abs=1e-12)
-    assert qL_analytic(3, V_L) == pytest.approx(1.0, abs=1e-9)
-    assert qL_analytic(3, 0.5 * V_L) == 1.0
+    assert keyrate_point(3, 1.0, ANALYTIC_MAX_ENTANGLED).qL == pytest.approx(0.0, abs=1e-12)
+    assert keyrate_point(3, V_L, ANALYTIC_MAX_ENTANGLED).qL == pytest.approx(1.0, abs=1e-9)
+    assert keyrate_point(3, 0.5 * V_L, ANALYTIC_MAX_ENTANGLED).qL == 1.0
     with pytest.raises(ValueError):
-        qL_analytic(3, 1.2)
+        keyrate_point(3, 1.2, ANALYTIC_MAX_ENTANGLED)
 
 
 def test_qL_analytic_reference_point():
-    assert qL_analytic(3, 0.9) == pytest.approx(0.3291124, abs=1e-7)
+    assert keyrate_point(3, 0.9, ANALYTIC_MAX_ENTANGLED).qL == pytest.approx(0.3291124, abs=1e-7)
 
 
 def test_rub_analytic_at_unit_visibility():
     for d in (2, 3, 5):
-        pt = rub_analytic(d, 1.0)
+        pt = keyrate_point(d, 1.0, ANALYTIC_MAX_ENTANGLED)
         assert pt.r_ub == pytest.approx(1.0, abs=1e-12)
         assert pt.pa_term == pytest.approx(1.0, abs=1e-12)
         assert pt.ec_term == pytest.approx(0.0, abs=1e-12)
@@ -129,7 +126,7 @@ def test_rub_analytic_at_unit_visibility():
 
 def test_rub_analytic_below_local_visibility():
     V = 0.5 * local_visibility_max_entangled(2)
-    pt = rub_analytic(2, V)
+    pt = keyrate_point(2, V, ANALYTIC_MAX_ENTANGLED)
     assert pt.qL == 1.0
     assert pt.pa_term == 0.0
     assert pt.r_ub == pytest.approx(-pt.ec_term, abs=1e-12)
@@ -137,14 +134,14 @@ def test_rub_analytic_below_local_visibility():
 
 @pytest.mark.parametrize("d,vcrit", [(2, 0.82999), (3, 0.82043)])
 def test_rub_analytic_vanishes_at_reference_visibility(d, vcrit):
-    assert abs(rub_analytic(d, vcrit).r_ub) < 1e-4
+    assert abs(keyrate_point(d, vcrit, ANALYTIC_MAX_ENTANGLED).r_ub) < 1e-4
 
 
 @given(st.integers(2, 8), st.floats(0.0, 1.0))
 def test_rub_analytic_closed_form_equality(d, V):
-    # the pa - ec assembly and the single closed-form expression must agree;
-    # rub_analytic asserts this internally at 1e-12
-    pt = rub_analytic(d, V)
+    # the pa - ec assembly and the paper's single closed-form expression
+    # 1 - (1-V)/(1-2/I_d^max) - H(A|B) must agree
+    pt = keyrate_point(d, V, ANALYTIC_MAX_ENTANGLED)
     V_L = local_visibility_max_entangled(d)
     if V >= V_L:
         closed = 1.0 - (1.0 - V) / (1.0 - V_L) - ec_term_isotropic(d, V)
@@ -154,28 +151,28 @@ def test_rub_analytic_closed_form_equality(d, V):
 def test_rub_analytic_strictly_increasing_above_threshold():
     V_L = local_visibility_max_entangled(3)
     grid = np.linspace(V_L, 1.0, 50)
-    vals = [rub_analytic(3, float(V)).r_ub for V in grid]
+    vals = [keyrate_point(3, float(V), ANALYTIC_MAX_ENTANGLED).r_ub for V in grid]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 # --------------------------------------------------------------- LP branch
 
 def test_rub_lp_at_zero_visibility():
-    pt = rub_lp(2, 0.0, LP_MAX_ENTANGLED)
+    pt = keyrate_point(2, 0.0, LP_MAX_ENTANGLED)
     assert pt.qL == pytest.approx(1.0, abs=1e-8)
     assert pt.r_ub == pytest.approx(-1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("V", [0.8, 0.9, 1.0])
 def test_rub_lp_matches_analytic_on_max_entangled(V):
-    lp = rub_lp(2, V, LP_MAX_ENTANGLED)
-    closed = rub_analytic(2, V)
+    lp = keyrate_point(2, V, LP_MAX_ENTANGLED)
+    closed = keyrate_point(2, V, ANALYTIC_MAX_ENTANGLED)
     assert lp.qL == pytest.approx(closed.qL, abs=1e-6)
     assert lp.r_ub == pytest.approx(closed.r_ub, abs=1e-6)
 
 
 def test_rub_lp_tuned_state_at_unit_visibility():
-    pt = rub_lp(3, 1.0, LP_CGLMP_STATE)
+    pt = keyrate_point(3, 1.0, LP_CGLMP_STATE)
     assert pt.qL <= 1e-8
     # EC residual keeps the bound strictly below one dit
     assert pt.r_ub == pytest.approx(0.938201951686, abs=1e-6)
@@ -183,7 +180,10 @@ def test_rub_lp_tuned_state_at_unit_visibility():
 
 def test_keyrate_point_dispatch():
     a = keyrate_point(2, 0.9, ANALYTIC_MAX_ENTANGLED)
-    b = rub_analytic(2, 0.9)
+    qL = (1.0 - 0.9) / (1.0 - local_visibility_max_entangled(2))
+    ec = ec_term_isotropic(2, 0.9)
+    b = KeyRatePoint(V=0.9, qL=qL, pa_term=1.0 - qL, ec_term=ec, r_ub=(1.0 - qL) - ec,
+                     branch=ANALYTIC_MAX_ENTANGLED)
     assert a == b
     with pytest.raises(ValueError, match="branch"):
         keyrate_point(2, 0.9, "bogus")
@@ -197,6 +197,23 @@ def test_local_visibility_per_branch():
     tuned = local_visibility(3, LP_CGLMP_STATE)
     assert tuned == pytest.approx(2.0 / (1.0 + sqrt(11.0 / 3.0)), abs=1e-9)
     assert tuned < local_visibility_max_entangled(3)
+
+
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_local_visibility_lp_matches_bell_violation(d, branch):
+    pNL = nonlocal_table(d, branch)
+    assert local_visibility(d, branch) == pytest.approx(2.0 / cglmp_value(pNL), abs=1e-9)
+
+
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_closed_form_weight_matches_per_point_lp(d, branch):
+    # qL = min(1, (1-V)/(1-V_L)) against the independent per-point LP oracle
+    pNL = nonlocal_table(d, branch)
+    for V in (local_visibility(d, branch), 0.75, 0.85, 0.95, 1.0):
+        oracle = max_local_weight(mix_with_white_noise(pNL, V), pNL).qL
+        assert keyrate_point(d, V, branch).qL == pytest.approx(oracle, abs=1e-9)
 
 
 # ---------------------------------------------------- critical visibility
@@ -227,13 +244,13 @@ def test_critical_visibility_decreasing_and_bounded():
 # ----------------------------------------------------------- PA-zero point
 
 def test_pa_zero_analytic_is_local_visibility():
-    assert pa_zero_visibility(4) == local_visibility_max_entangled(4)
+    assert local_visibility(4, ANALYTIC_MAX_ENTANGLED) == local_visibility_max_entangled(4)
 
 
 def test_pa_zero_lp_branches():
-    assert pa_zero_visibility(2, LP_MAX_ENTANGLED) == pytest.approx(
+    assert local_visibility(2, LP_MAX_ENTANGLED) == pytest.approx(
         1.0 / sqrt(2.0), abs=1e-4)
-    assert pa_zero_visibility(3, LP_CGLMP_STATE) == pytest.approx(
+    assert local_visibility(3, LP_CGLMP_STATE) == pytest.approx(
         2.0 / (1.0 + sqrt(11.0 / 3.0)), abs=1e-4)
 
 
@@ -271,25 +288,6 @@ def test_curve_validates_arguments():
         keyrate_curve(2, ANALYTIC_MAX_ENTANGLED, 0.0, 1.0, 1)
     with pytest.raises(ValueError):
         keyrate_curve(2, ANALYTIC_MAX_ENTANGLED, 0.0, 1.5, 5)
-
-
-def test_curve_threaded_matches_sequential():
-    seq = keyrate_curve(2, LP_MAX_ENTANGLED, 0.8, 1.0, 5, threads=1)
-    par = keyrate_curve(2, LP_MAX_ENTANGLED, 0.8, 1.0, 5, threads=3)
-    for a, b in zip(seq, par):
-        assert a.V == b.V
-        assert a.qL == pytest.approx(b.qL, abs=1e-9)
-        assert a.r_ub == pytest.approx(b.r_ub, abs=1e-9)
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("DIQKD_CC_THREADS", "7")
-    assert thread_count() == 7
-    monkeypatch.setenv("DIQKD_CC_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
-    monkeypatch.delenv("DIQKD_CC_THREADS")
-    assert thread_count() >= 1
 
 
 # ---------------------------------------------------------------- bisection

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diqkd_cc import (
+    ANALYTIC_MAX_ENTANGLED,
     CorrelationTable,
     DecompositionInfeasible,
     Scenario,
@@ -13,11 +14,11 @@ from diqkd_cc import (
     decomposition_to_text,
     enumerate_strategies,
     is_local,
+    keyrate_point,
     local_residual,
     local_visibility_max_entangled,
     max_local_weight,
     mix_with_white_noise,
-    qL_analytic,
     strategy_from_id,
     strategy_id,
     strategy_table,
@@ -128,7 +129,7 @@ def test_local_weight_d2_reference_point():
 def test_local_weight_matches_analytic(d, V):
     pNL = cglmp_born_table(maximally_entangled_state(d))
     dec = max_local_weight(mix_with_white_noise(pNL, V), pNL)
-    assert dec.qL == pytest.approx(qL_analytic(d, V), abs=1e-6)
+    assert dec.qL == pytest.approx(keyrate_point(d, V, ANALYTIC_MAX_ENTANGLED).qL, abs=1e-6)
 
 
 def test_decomposition_reconstructs_observed():

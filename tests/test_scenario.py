@@ -235,3 +235,32 @@ def test_text_round_trip_random_tables(seed):
 def test_text_requires_header():
     with pytest.raises(ValueError, match="header"):
         table_from_text("1 1 1 1 0.25\n")
+
+
+@given(st.integers(2, 4), st.integers(2, 3), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_text_round_trip_any_shape(d, nA, nB, seed):
+    s = Scenario(d=d, nA=nA, nB=nB, keyX=nA, keyY=nB)
+    t = CorrelationTable(s, np.random.default_rng(seed).random((d, d, nA, nB)))
+    back = table_from_text(table_to_text(t))
+    assert back.scenario == s
+    assert np.allclose(back.p, t.p, rtol=1e-14, atol=0)
+
+
+def _edit_rows(edit):
+    header, *rows = table_to_text(ME2).splitlines()
+    return "\n".join([header, *edit(rows)]) + "\n"
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda rows: rows + ["1 1 1 1 0.5"], "duplicate"),
+    (lambda rows: rows[:-1], "missing"),
+    (lambda rows: ["1 1 1 1 nan"] + rows[1:], "finite"),
+    (lambda rows: ["1 1 1 1 inf"] + rows[1:], "finite"),
+    (lambda rows: ["1 1 0 1 0.25"] + rows[1:], "1 <= a, b <= 2"),
+    (lambda rows: rows[:-1] + ["2 3 2 3 0.25"], "1 <= a, b <= 2"),
+    (lambda rows: ["3 1 1 1 0.25"] + rows[1:], "1 <= x <= 2"),
+    (lambda rows: ["1 4 1 1 0.25"] + rows[1:], "1 <= y <= 3"),
+], ids=["duplicate", "missing", "nan", "inf", "outcome-0", "outcome-d+1", "x", "y"])
+def test_text_rejects_malformed_rows(edit, match):
+    with pytest.raises(ValueError, match=match):
+        table_from_text(_edit_rows(edit))
