@@ -71,26 +71,27 @@ def cmd_vcrit(args) -> int:
     return 0
 
 
+def _vcrit_cell(d: int, branch: str, cap: int, column: str) -> str:
+    """One table cell; an LP cell over the strategy cap is left empty."""
+    try:
+        return f"{keyrate.critical_visibility(d, branch, cap=cap).v_crit:.12g}"
+    except polytope.StrategyCapExceeded as exc:
+        print(f"d={d}: {exc}; leaving the {column} cell empty", file=sys.stderr)
+        return ""
+
+
 def cmd_table(args) -> int:
     if args.d_min < 2 or args.d_max < args.d_min:
         raise ValueError(f"need 2 <= d-min <= d-max, got [{args.d_min}, {args.d_max}]")
-    want_max = args.state in ("max", "both")
-    want_cglmp = args.state in ("cglmp", "both")
     if args.state == "cglmp" and args.method == "analytic":
         raise ValueError("--method analytic is only available for the max column")
-    max_branch = (keyrate.LP_MAX_ENTANGLED if args.method == "lp"
-                  else keyrate.ANALYTIC_MAX_ENTANGLED)
+    columns = (("max", _branch_for("max", args.method)), ("cglmp", keyrate.LP_CGLMP_STATE))
     lines = [TABLE_HEADER]
     for d in range(args.d_min, args.d_max + 1):
-        cell_max = cell_cglmp = ""
-        if want_max:
-            cell_max = f"{keyrate.critical_visibility(d, max_branch, cap=args.strategy_cap).v_crit:.12g}"
-        if want_cglmp:
-            try:
-                cell_cglmp = (f"{keyrate.critical_visibility(d, keyrate.LP_CGLMP_STATE, cap=args.strategy_cap).v_crit:.12g}")
-            except polytope.StrategyCapExceeded as exc:
-                print(f"d={d}: {exc}; emitting the analytic column only", file=sys.stderr)
-        lines.append(f"{d},{cell_max},{cell_cglmp}")
+        cells = [_vcrit_cell(d, branch, args.strategy_cap, f"vcrit_{state}")
+                 if args.state in (state, "both") else ""
+                 for state, branch in columns]
+        lines.append(",".join([str(d), *cells]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -165,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.add_argument("--state", choices=("max", "cglmp", "both"), default="both")
-    p.add_argument("--method", choices=("analytic", "lp"), default="analytic",
-                   help="how the max column is computed (cglmp is always lp)")
+    p.add_argument("--method", choices=("analytic", "lp"), default=None,
+                   help="how the max column is computed (default analytic; "
+                        "cglmp is always lp)")
     _add_cap(p)
     p.set_defaults(func=cmd_table)
 

@@ -1,5 +1,6 @@
-"""Local deterministic strategies and the convex-combination attack LP:
-maximize Eve's local weight subject to reproducing the observed table.
+"""Local deterministic strategies and the two local-polytope LPs: the
+convex-combination attack (Eve's maximal local weight at one observed table)
+and the white-noise visibility of a table (V_L, membership and its slack).
 """
 from __future__ import annotations
 
@@ -30,7 +31,8 @@ class StrategyCapExceeded(ValueError):
 
 
 class DecompositionInfeasible(RuntimeError):
-    """Observed table is not in the convex hull of {strategies} u {pNL}."""
+    """Observed table is not in the convex hull of {strategies} u {pNL};
+    residual is the white-noise weight that would bring it into the hull."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -159,7 +161,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
     if not res.success:
         _, residual = local_residual(observed, cap=cap, pNL=pNL)
         raise DecompositionInfeasible(
-            f"no convex decomposition reproduces the table (max residual {residual:.3e})",
+            f"no convex decomposition reproduces the table (noise slack {residual:.3e})",
             residual)
     q = res.x
     reconstructed = A_eq @ q
@@ -171,19 +173,25 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
     return CcDecomposition(weights=weights, qNL=qNL, qL=qL, max_residual=max_residual)
 
 
-def max_local_visibility(pNL: CorrelationTable, cap: int = STRATEGY_CAP) -> float:
-    """Largest visibility V_L at which V pNL + (1-V) u is local, u = 1/d^2.
+def max_local_visibility(t: CorrelationTable, cap: int = STRATEGY_CAP,
+                         pNL: CorrelationTable | None = None) -> float:
+    """Largest V in [0, 1] at which V t + (1-V) u is local, u = 1/d^2: one
+    minus the least white-noise weight that makes t local (optionally
+    allowing a nonlocal column pNL in the hull).
 
     Solve: maximize V over q >= 0, 0 <= V <= 1 with
-    sum_i q_i p_i(a,b|x,y) - V (pNL - u)(a,b|x,y) = u(a,b|x,y) for all
-    (a,b,x,y) and sum q = 1. On the segment from u to pNL this fixes the
-    maximal local weight: qL(V) = min(1, (1-V)/(1-V_L)).
+    sum_i q_i p_i(a,b|x,y) - V (t - u)(a,b|x,y) = u(a,b|x,y) for all
+    (a,b,x,y) and sum q = 1 (q includes the pNL weight when given). For an
+    ideal table t this is V_L, which fixes the maximal local weight on the
+    segment from u to t: qL(V) = min(1, (1-V)/(1-V_L)).
     """
-    scenario = pNL.scenario
+    scenario = t.scenario
     S = _strategy_matrix(scenario, cap)
+    if pNL is not None:
+        S = sp.hstack([S, sp.csc_array(_table_vector(pNL).reshape(-1, 1))], format="csc")
     n = S.shape[1]
     u = np.full(S.shape[0], 1.0 / scenario.d**2)
-    v_col = sp.csc_array((u - _table_vector(pNL)).reshape(-1, 1))
+    v_col = sp.csc_array((u - _table_vector(t)).reshape(-1, 1))
     total = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
     A_eq = sp.vstack([sp.hstack([S, v_col]), total], format="csc")
     b_eq = np.concatenate([u, [1.0]])
@@ -200,31 +208,12 @@ def max_local_visibility(pNL: CorrelationTable, cap: int = STRATEGY_CAP) -> floa
 
 def local_residual(t: CorrelationTable, cap: int = STRATEGY_CAP,
                    pNL: CorrelationTable | None = None) -> tuple[bool, float]:
-    """Smallest uniform slack needed to write t as a strategy mixture
+    """Least white-noise weight 1 - V* that makes t a strategy mixture
     (optionally allowing a nonlocal column). Local iff the slack is within
-    the LP feasibility tolerance.
-
-    Solved in elastic form - minimize s subject to |A q - t| <= s per entry,
-    sum q = 1, q >= 0 - which is always feasible and returns a quantitative
-    margin instead of a bare infeasibility flag.
+    the LP feasibility tolerance. On the noise segment t = V p + (1-V) u of a
+    table p with local visibility V_L the slack is max(0, 1 - V_L/V).
     """
-    scenario = t.scenario
-    S = _strategy_matrix(scenario, cap)
-    if pNL is not None:
-        S = sp.hstack([S, sp.csc_array(_table_vector(pNL).reshape(-1, 1))], format="csc")
-    n = S.shape[1]
-    rows = S.shape[0]
-    ones_col = np.ones((rows, 1))
-    A_ub = sp.vstack([sp.hstack([S, -ones_col]), sp.hstack([-S, -ones_col])], format="csc")
-    b = _table_vector(t)
-    b_ub = np.concatenate([b, -b])
-    A_eq = sp.csc_array(np.concatenate([np.ones(n), [0.0]]).reshape(1, -1))
-    cost = np.concatenate([np.zeros(n), [1.0]])
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=(0, None), method="highs", options=_LINPROG_OPTIONS)
-    if not res.success:
-        raise RuntimeError(f"elastic membership LP failed: {res.message}")
-    slack = float(res.fun)
+    slack = 1.0 - max_local_visibility(t, cap=cap, pNL=pNL)
     return slack <= LP_FEASIBILITY_TOL, slack
 
 

@@ -70,6 +70,9 @@ def test_table_d2_to_d3(capsys):
     assert float(d2[2]) == pytest.approx(float(d2[1]), abs=1e-6)  # branches agree at d=2
     assert float(d3[1]) == pytest.approx(0.82043, abs=5e-5)
     assert float(d3[2]) == pytest.approx(0.82101, abs=5e-5)
+    assert out == ("d,vcrit_max,vcrit_cglmp\n"
+                   "2,0.829994692464,0.829994692464\n"
+                   "3,0.820427375034,0.82101395195\n")
 
 
 def test_table_max_only_leaves_cglmp_column_empty(capsys):
@@ -98,6 +101,35 @@ def test_table_rejects_bad_range(capsys):
     code, _, err = run(["table", "--d-min", "3", "--d-max", "2"], capsys)
     assert code == 1
     assert "d-min" in err
+
+
+def test_table_cglmp_only_leaves_max_column_empty(capsys):
+    code, out, _ = run(["table", "--d-min", "2", "--d-max", "3", "--state", "cglmp"], capsys)
+    assert code == 0
+    code_both, both, _ = run(["table", "--d-min", "2", "--d-max", "3"], capsys)
+    assert code_both == 0
+    expected = [f"{d},,{vcglmp}" for d, _, vcglmp in
+                (line.split(",") for line in both.strip().splitlines()[1:])]
+    assert out.strip().splitlines() == [TABLE_HEADER, *expected]
+
+
+def test_table_rejects_analytic_tuned_state(capsys):
+    code, _, err = run(["table", "--d-min", "2", "--d-max", "3", "--state", "cglmp",
+                        "--method", "analytic"], capsys)
+    assert code == 1
+    assert "analytic" in err
+
+
+def test_table_strategy_cap_skips_lp_max_cell(capsys):
+    code, out, err = run(["table", "--d-min", "2", "--d-max", "3", "--method", "lp",
+                          "--strategy-cap", "100"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == TABLE_HEADER
+    assert lines[1].startswith("2,0.8299")
+    assert lines[2] == "3,,"
+    assert "vcrit_max cell empty" in err and "vcrit_cglmp cell empty" in err
+    assert "analytic column" not in err
 
 
 def test_table_strategy_cap_skips_lp_column(capsys):
@@ -213,6 +245,7 @@ def test_check_local_outside_polytope(capsys):
     code, out, _ = run(["check-local", "--d", "3", "--vtilde", "0.73"], capsys)
     assert code == 0
     assert "nonlocal" in out
+    assert out == "d=3 vtilde=0.73: nonlocal (slack 4.637e-02, tolerance 1e-09)\n"
 
 
 def test_check_local_rejects_bad_visibility(capsys):

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from diqkd_cc import (
     ANALYTIC_MAX_ENTANGLED,
+    LP_CGLMP_STATE,
+    LP_MAX_ENTANGLED,
     CorrelationTable,
     DecompositionInfeasible,
     Scenario,
@@ -16,6 +18,7 @@ from diqkd_cc import (
     is_local,
     keyrate_point,
     local_residual,
+    local_visibility,
     local_visibility_max_entangled,
     max_local_weight,
     mix_with_white_noise,
@@ -25,6 +28,7 @@ from diqkd_cc import (
     uniform_table,
     validate,
 )
+from diqkd_cc.keyrate import nonlocal_table
 from diqkd_cc.polytope import LP_FEASIBILITY_TOL
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
 
@@ -159,13 +163,17 @@ def test_unreachable_table_is_infeasible():
     with pytest.raises(DecompositionInfeasible) as exc:
         max_local_weight(ME2, uniform_table(ME2.scenario))
     assert exc.value.residual > 1e-6
+    assert exc.value.residual == pytest.approx(1.0 - 1.0 / np.sqrt(2.0), abs=1e-9)
 
 
 # -------------------------------------------------------------- membership
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_white_noise_is_local(d):
-    assert is_local(uniform_table(Scenario(d=d)))
+    t = uniform_table(Scenario(d=d))
+    local = is_local(t)
+    assert local
+    assert local == (max_local_weight(t, t).qL >= 1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("t", [ME2, ME3], ids=["d2", "d3"])
@@ -173,12 +181,25 @@ def test_ideal_tables_are_nonlocal(t):
     local, slack = local_residual(t)
     assert not local
     assert slack > 1e-4
+    assert local == (max_local_weight(t, t).qL >= 1.0 - 1e-9)
 
 
 def test_membership_flips_at_local_visibility():
     V_L = local_visibility_max_entangled(2)
     assert is_local(mix_with_white_noise(ME2, V_L))
     assert not is_local(mix_with_white_noise(ME2, V_L + 1e-3))
+
+
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_slack_on_noise_segment_is_white_noise_deficit(d, branch):
+    # V pNL + (1-V) u needs white-noise weight 1 - V_L/V to become local
+    pNL = nonlocal_table(d, branch)
+    V_L = local_visibility(d, branch)
+    for v in (V_L - 0.01, V_L, V_L + 1e-3, 0.9, 1.0):
+        local, slack = local_residual(mix_with_white_noise(pNL, v))
+        assert local == (v <= V_L)
+        assert slack == pytest.approx(max(0.0, 1.0 - V_L / v), abs=1e-9)
 
 
 def test_nonlocal_column_restores_feasibility():
@@ -193,7 +214,9 @@ def test_nonlocal_column_restores_feasibility():
 @given(st.integers(0, 2**32 - 1))
 def test_product_tables_are_local(seed):
     t = _product_table(seed, d=2)
-    assert is_local(t)
+    local = is_local(t)
+    assert local
+    assert local == (max_local_weight(t, t).qL >= 1.0 - 1e-9)
     assert cglmp_value(t) <= 2.0 + 1e-8
 
 
