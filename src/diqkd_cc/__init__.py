@@ -31,17 +31,13 @@ from .quantum import (
     fourier_basis,
     max_eigenpair,
     maximally_entangled_state,
-    reduced_eigenvalues,
     schmidt_coefficients,
-    state_to_text,
 )
 from .cglmp import (
     CATALAN,
     LOCAL_BOUND,
-    CglmpResult,
     cglmp_coefficients,
     cglmp_value,
-    evaluate_cglmp,
     idmax_asymptotic,
     idmax_closed_form,
     local_visibility_max_entangled,
@@ -52,7 +48,6 @@ from .polytope import (
     DecompositionInfeasible,
     DeterministicStrategy,
     StrategyCapExceeded,
-    decomposition_to_text,
     enumerate_strategies,
     is_local,
     local_residual,

@@ -3,7 +3,6 @@ maximum on the maximally entangled state, and the d->infinity constants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import pi, sin
 
 import numpy as np
@@ -15,17 +14,6 @@ LOCAL_BOUND = 2.0
 
 #: Catalan's constant, embedded as a literal to 20 digits.
 CATALAN = 0.91596559417721901505
-
-
-@dataclass(frozen=True)
-class CglmpResult:
-    d: int
-    value: float
-    local_bound: float = LOCAL_BOUND
-
-    @property
-    def violation_ratio(self) -> float:
-        return self.value / self.local_bound
 
 
 def cglmp_value(t: CorrelationTable, x1: int = 1, x2: int = 2, y1: int = 1, y2: int = 2) -> float:
@@ -57,10 +45,6 @@ def cglmp_value(t: CorrelationTable, x1: int = 1, x2: int = 2, y1: int = 1, y2: 
             - S(x1, y2, k + 1)       # B_{y2} = A_{x1} - k - 1
         )
     return total
-
-
-def evaluate_cglmp(t: CorrelationTable, x1: int = 1, x2: int = 2, y1: int = 1, y2: int = 2) -> CglmpResult:
-    return CglmpResult(d=t.scenario.d, value=cglmp_value(t, x1, x2, y1, y2))
 
 
 def cglmp_coefficients(d: int) -> np.ndarray:

@@ -25,15 +25,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _branch_for(state: str, method: str | None) -> str:
-    if state == "max":
-        method = method or "analytic"
-        return keyrate.ANALYTIC_MAX_ENTANGLED if method == "analytic" else keyrate.LP_MAX_ENTANGLED
-    if state == "cglmp":
-        if method == "analytic":
-            raise ValueError("--method analytic is only available with --state max")
-        return keyrate.LP_CGLMP_STATE
-    raise ValueError(f"unknown state {state!r}")
+#: The state fixes the method: closed form for the maximally entangled state,
+#: one local-polytope LP for the tuned state.
+BRANCH_OF_STATE = {"max": keyrate.ANALYTIC_MAX_ENTANGLED, "cglmp": keyrate.LP_CGLMP_STATE}
 
 
 def _check_d(d: int) -> int:
@@ -64,7 +58,7 @@ def cmd_idmax(args) -> int:
 
 def cmd_vcrit(args) -> int:
     d = _check_d(args.d)
-    branch = _branch_for(args.state, args.method)
+    branch = BRANCH_OF_STATE[args.state]
     result = keyrate.critical_visibility(d, branch, cap=args.strategy_cap)
     method = "analytic" if branch == keyrate.ANALYTIC_MAX_ENTANGLED else "lp"
     print(f"d={d} state={args.state} method={method} vcrit={result.v_crit:.5f}")
@@ -83,14 +77,11 @@ def _vcrit_cell(d: int, branch: str, cap: int, column: str) -> str:
 def cmd_table(args) -> int:
     if args.d_min < 2 or args.d_max < args.d_min:
         raise ValueError(f"need 2 <= d-min <= d-max, got [{args.d_min}, {args.d_max}]")
-    if args.state == "cglmp" and args.method == "analytic":
-        raise ValueError("--method analytic is only available for the max column")
-    columns = (("max", _branch_for("max", args.method)), ("cglmp", keyrate.LP_CGLMP_STATE))
     lines = [TABLE_HEADER]
     for d in range(args.d_min, args.d_max + 1):
         cells = [_vcrit_cell(d, branch, args.strategy_cap, f"vcrit_{state}")
                  if args.state in (state, "both") else ""
-                 for state, branch in columns]
+                 for state, branch in BRANCH_OF_STATE.items()]
         lines.append(",".join([str(d), *cells]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -98,7 +89,7 @@ def cmd_table(args) -> int:
 
 def cmd_curve(args) -> int:
     d = _check_d(args.d)
-    branch = _branch_for(args.state, args.method)
+    branch = BRANCH_OF_STATE[args.state]
     points = keyrate.keyrate_curve(d, branch, args.v_min, args.v_max, args.steps,
                                    cap=args.strategy_cap)
     scale = log2(d) if args.unit == "bits" else 1.0
@@ -157,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vcrit", help="critical visibility for one dimension")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--state", choices=("max", "cglmp"), default="max")
-    p.add_argument("--method", choices=("analytic", "lp"), default=None)
     _add_cap(p)
     p.set_defaults(func=cmd_vcrit)
 
@@ -166,16 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.add_argument("--state", choices=("max", "cglmp", "both"), default="both")
-    p.add_argument("--method", choices=("analytic", "lp"), default=None,
-                   help="how the max column is computed (default analytic; "
-                        "cglmp is always lp)")
     _add_cap(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("curve", help="key-rate bound on a visibility grid")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--state", choices=("max", "cglmp"), default="max")
-    p.add_argument("--method", choices=("analytic", "lp"), default=None)
     p.add_argument("--v-min", type=float, required=True)
     p.add_argument("--v-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)

@@ -12,7 +12,7 @@ from math import log, pi
 import numpy as np
 
 from .cglmp import CATALAN, local_visibility_max_entangled
-from .polytope import STRATEGY_CAP, max_local_visibility
+from .polytope import STRATEGY_CAP, check_strategy_cap, max_local_visibility
 from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from .scenario import CorrelationTable, default_scenario, marginal, mix_with_white_noise
 
@@ -124,10 +124,13 @@ def local_visibility(d: int, branch: str, cap: int = STRATEGY_CAP) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local.
 
     Analytic branch: 2/I_d^max. LP branches: one LP over the local polytope,
-    solved once per (d, branch, cap) and cached.
+    solved once per (d, branch, cap) and cached. The strategy cap is checked
+    before the branch's state is built, since the tuned-state eigensolve alone
+    grows as d^6.
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d)
+    check_strategy_cap(default_scenario(d), cap)
     return max_local_visibility(nonlocal_table(d, branch), cap=cap)
 
 

@@ -72,12 +72,17 @@ def strategy_from_id(ident: int, scenario: Scenario) -> DeterministicStrategy:
     return DeterministicStrategy(fA=tuple(digits[: s.nA]), fB=tuple(digits[s.nA:]), id=ident)
 
 
-def enumerate_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> Iterator[DeterministicStrategy]:
-    """All d^(nA+nB) strategies in increasing id order, each exactly once."""
+def check_strategy_cap(scenario: Scenario, cap: int = STRATEGY_CAP) -> None:
+    """Raise StrategyCapExceeded if the scenario has more than cap strategies."""
     n = scenario.n_strategies
     if n > cap:
         raise StrategyCapExceeded(f"{n} strategies exceed the cap of {cap}")
-    for ident in range(n):
+
+
+def enumerate_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> Iterator[DeterministicStrategy]:
+    """All d^(nA+nB) strategies in increasing id order, each exactly once."""
+    check_strategy_cap(scenario, cap)
+    for ident in range(scenario.n_strategies):
         yield strategy_from_id(ident, scenario)
 
 
@@ -103,10 +108,9 @@ def _strategy_matrix(scenario: Scenario, cap: int) -> sp.csc_array:
     Built digit-wise over all ids at once; each column has exactly nA*nB
     nonzeros, so nothing dense is ever materialized.
     """
+    check_strategy_cap(scenario, cap)
     s = scenario
     n = s.n_strategies
-    if n > cap:
-        raise StrategyCapExceeded(f"{n} strategies exceed the cap of {cap}")
     ids = np.arange(n)
     n_digits = s.nA + s.nB
     digits = [(ids // s.d ** (n_digits - 1 - j)) % s.d for j in range(n_digits)]
@@ -221,10 +225,3 @@ def is_local(t: CorrelationTable, cap: int = STRATEGY_CAP) -> bool:
     """True iff t decomposes over deterministic strategies alone."""
     local, _ = local_residual(t, cap=cap)
     return local
-
-
-def decomposition_to_text(dec: CcDecomposition) -> str:
-    """Rows `strategy_id weight` (increasing id) plus a final `NL weight` row."""
-    lines = [f"{ident} {dec.weights[ident]:.15g}" for ident in sorted(dec.weights)]
-    lines.append(f"NL {dec.qNL:.15g}")
-    return "\n".join(lines) + "\n"

@@ -184,19 +184,3 @@ def cglmp_state(d: int) -> PureState:
 def schmidt_coefficients(state: PureState) -> np.ndarray:
     """Decreasing singular values of the amplitude matrix."""
     return np.linalg.svd(state.amplitudes.reshape(state.d, state.d), compute_uv=False)
-
-
-def reduced_eigenvalues(state: PureState) -> np.ndarray:
-    """Eigenvalues of either party's reduced density operator (squared Schmidt)."""
-    return schmidt_coefficients(state) ** 2
-
-
-def state_to_text(state: PureState) -> str:
-    """Debug dump: rows `q r real imag` for each product-basis amplitude."""
-    d = state.d
-    lines = []
-    for q in range(d):
-        for r in range(d):
-            amp = state.amplitudes[q * d + r]
-            lines.append(f"{q} {r} {amp.real:.15g} {amp.imag:.15g}")
-    return "\n".join(lines) + "\n"

@@ -13,7 +13,6 @@ from diqkd_cc import (
     Scenario,
     cglmp_coefficients,
     cglmp_value,
-    evaluate_cglmp,
     idmax_asymptotic,
     idmax_closed_form,
     local_visibility_max_entangled,
@@ -149,12 +148,6 @@ def test_settings_must_be_distinct():
         cglmp_value(ME3, x1=1, x2=1)
     with pytest.raises(ValueError):
         cglmp_value(ME3, y1=2, y2=2)
-
-
-def test_result_violation_ratio():
-    res = evaluate_cglmp(ME2)
-    assert res.d == 2
-    assert res.violation_ratio == pytest.approx(sqrt(2.0), abs=1e-10)
 
 
 def test_optimal_state_beats_maximally_entangled():

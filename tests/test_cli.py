@@ -49,12 +49,6 @@ def test_vcrit_lp_d2(capsys):
     assert "vcrit=0.82999" in out
 
 
-def test_vcrit_rejects_analytic_tuned_state(capsys):
-    code, _, err = run(["vcrit", "--d", "3", "--state", "cglmp", "--method", "analytic"], capsys)
-    assert code == 1
-    assert "analytic" in err
-
-
 # ------------------------------------------------------------------- table
 
 def test_table_d2_to_d3(capsys):
@@ -113,25 +107,6 @@ def test_table_cglmp_only_leaves_max_column_empty(capsys):
     assert out.strip().splitlines() == [TABLE_HEADER, *expected]
 
 
-def test_table_rejects_analytic_tuned_state(capsys):
-    code, _, err = run(["table", "--d-min", "2", "--d-max", "3", "--state", "cglmp",
-                        "--method", "analytic"], capsys)
-    assert code == 1
-    assert "analytic" in err
-
-
-def test_table_strategy_cap_skips_lp_max_cell(capsys):
-    code, out, err = run(["table", "--d-min", "2", "--d-max", "3", "--method", "lp",
-                          "--strategy-cap", "100"], capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == TABLE_HEADER
-    assert lines[1].startswith("2,0.8299")
-    assert lines[2] == "3,,"
-    assert "vcrit_max cell empty" in err and "vcrit_cglmp cell empty" in err
-    assert "analytic column" not in err
-
-
 def test_table_strategy_cap_skips_lp_column(capsys):
     code, out, err = run(["table", "--d-min", "16", "--d-max", "16"], capsys)
     assert code == 0
@@ -141,6 +116,7 @@ def test_table_strategy_cap_skips_lp_column(capsys):
     assert float(vmax) > 0.75
     assert vcglmp == ""
     assert "exceed" in err
+    assert "vcrit_cglmp cell empty" in err
 
 
 # ------------------------------------------------------------------- curve
@@ -265,6 +241,19 @@ def test_asymptotic_constants(capsys):
 
 
 # ------------------------------------------------------------------ parser
+
+@pytest.mark.parametrize("args", [
+    ["vcrit", "--d", "3", "--state", "cglmp"],
+    ["table", "--d-min", "2", "--d-max", "3"],
+    ["curve", "--d", "3", "--v-min", "0.8", "--v-max", "1.0", "--steps", "3", "--out", "x.csv"],
+], ids=["vcrit", "table", "curve"])
+def test_method_option_is_rejected(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(args + ["--method", "lp"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --method lp" in err
+
 
 def test_no_subcommand_is_usage_error(capsys):
     assert run([], capsys)[0] == 1

@@ -14,6 +14,7 @@ from diqkd_cc import (
     LP_MAX_ENTANGLED,
     BracketError,
     KeyRatePoint,
+    StrategyCapExceeded,
     cglmp_value,
     critical_visibility,
     ec_term_general,
@@ -32,6 +33,7 @@ from diqkd_cc import (
     uniform_table,
     vcrit_asymptotic,
 )
+from diqkd_cc import keyrate
 from diqkd_cc.keyrate import _bisect, nonlocal_table
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
 from diqkd_cc.scenario import Scenario
@@ -233,6 +235,15 @@ def test_critical_visibility_lp_agrees_with_analytic():
 def test_critical_visibility_tuned_state_d3():
     res = critical_visibility(3, LP_CGLMP_STATE)
     assert res.v_crit == pytest.approx(0.82101, abs=5e-5)
+
+
+def test_strategy_cap_checked_before_tuned_state_is_built(monkeypatch):
+    def unbuilt(d):
+        raise AssertionError(f"cglmp_state({d}) built for an over-cap scenario")
+
+    monkeypatch.setattr(keyrate, "cglmp_state", unbuilt)
+    with pytest.raises(StrategyCapExceeded):
+        critical_visibility(40, LP_CGLMP_STATE)
 
 
 def test_critical_visibility_decreasing_and_bounded():

@@ -13,7 +13,6 @@ from diqkd_cc import (
     Scenario,
     StrategyCapExceeded,
     cglmp_value,
-    decomposition_to_text,
     enumerate_strategies,
     is_local,
     keyrate_point,
@@ -219,15 +218,3 @@ def test_product_tables_are_local(seed):
     assert local == (max_local_weight(t, t).qL >= 1.0 - 1e-9)
     assert cglmp_value(t) <= 2.0 + 1e-8
 
-
-# ------------------------------------------------------------------- text
-
-def test_decomposition_text_format():
-    dec = max_local_weight(mix_with_white_noise(ME2, 0.9), ME2)
-    lines = decomposition_to_text(dec).strip().splitlines()
-    assert lines[-1].startswith("NL ")
-    assert float(lines[-1].split()[1]) == pytest.approx(dec.qNL, abs=1e-12)
-    ids = [int(ln.split()[0]) for ln in lines[:-1]]
-    assert ids == sorted(ids)
-    total = sum(float(ln.split()[1]) for ln in lines)
-    assert total == pytest.approx(1.0, abs=1e-8)

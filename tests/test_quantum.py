@@ -24,9 +24,7 @@ from diqkd_cc import (
     idmax_closed_form,
     max_eigenpair,
     maximally_entangled_state,
-    reduced_eigenvalues,
     schmidt_coefficients,
-    state_to_text,
     validate,
 )
 from diqkd_cc.quantum import CGLMP_ALICE_PHASES, CGLMP_BOB_PHASES
@@ -77,17 +75,7 @@ def test_maximally_entangled_state(d):
     state = maximally_entangled_state(d)
     psi = state.amplitudes.reshape(d, d)
     assert np.allclose(psi, np.eye(d) / sqrt(d), atol=1e-15)
-    assert np.allclose(reduced_eigenvalues(state), 1.0 / d, atol=1e-12)
     assert np.allclose(schmidt_coefficients(state), 1.0 / sqrt(d), atol=1e-12)
-
-
-def test_state_to_text_format():
-    lines = state_to_text(maximally_entangled_state(2)).strip().splitlines()
-    assert len(lines) == 4
-    q, r, re, im = lines[0].split()
-    assert (q, r) == ("0", "0")
-    assert float(re) == pytest.approx(1.0 / sqrt(2.0), abs=1e-12)
-    assert float(im) == 0.0
 
 
 # ------------------------------------------------------------- Born tables
