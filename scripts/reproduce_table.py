@@ -8,7 +8,7 @@ import argparse
 import sys
 import time
 
-from diqkd_cc import LP_CGLMP_STATE, critical_visibility
+from diqkd_cc import LP_CGLMP_STATE, cli, critical_visibility
 
 REFERENCE = {
     # d: (max-entangled, tuned state)
@@ -29,7 +29,6 @@ def main():
     ap.add_argument("--out", default=None, help="also write the computed table as CSV")
     args = ap.parse_args()
 
-    rows = []
     worst = 0.0
     print(f"{'d':>2}  {'vcrit_max':>12}  {'ref':>8}  {'vcrit_cglmp':>12}  {'ref':>8}  {'sec':>6}")
     for d in range(2, args.d_max + 1):
@@ -42,14 +41,12 @@ def main():
             worst = max(worst, abs(v_max - ref[0]), abs(v_cglmp - ref[1]))
         ref_str = (f"{ref[0]:8.5f}", f"{ref[1]:8.5f}") if ref else ("       -", "       -")
         print(f"{d:>2}  {v_max:12.7f}  {ref_str[0]}  {v_cglmp:12.7f}  {ref_str[1]}  {elapsed:6.1f}")
-        rows.append((d, v_max, v_cglmp))
 
     print(f"\nworst deviation from reference: {worst:.2e} (tolerance {TOLERANCE:g})")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("d,vcrit_max,vcrit_cglmp\n")
-            for d, v_max, v_cglmp in rows:
-                fh.write(f"{d},{v_max:.12g},{v_cglmp:.12g}\n")
+        rc = cli.main(["table", "--d-min", "2", "--d-max", str(args.d_max), "--out", args.out])
+        if rc:
+            return rc
         print(f"wrote {args.out}")
     return 0 if worst <= TOLERANCE else 1
 

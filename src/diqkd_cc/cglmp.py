@@ -16,16 +16,14 @@ LOCAL_BOUND = 2.0
 CATALAN = 0.91596559417721901505
 
 
-def cglmp_value(t: CorrelationTable, x1: int = 1, x2: int = 2, y1: int = 1, y2: int = 2) -> float:
-    """I_d of the table at the given pair of settings per party.
+def cglmp_value(t: CorrelationTable) -> float:
+    """I_d of the table at the two Bell settings of each party.
 
     Sum over k = 0 .. [d/2]-1 with weight 1 - 2k/(d-1) of the eight
     outcome-shift probabilities: four where the outcomes differ by +k (or the
     role-swapped k+1) minus four where they differ the opposite way. For d=2
     only k=0 contributes and the weight is 1.
     """
-    if x1 == x2 or y1 == y2:
-        raise ValueError("settings must be distinct per party")
     d = t.scenario.d
 
     def S(x: int, y: int, k: int) -> float:
@@ -35,14 +33,14 @@ def cglmp_value(t: CorrelationTable, x1: int = 1, x2: int = 2, y1: int = 1, y2: 
     for k in range(d // 2):
         w = 1.0 - 2.0 * k / (d - 1)
         total += w * (
-            S(x1, y1, k)             # A_{x1} = B_{y1} + k
-            + S(x2, y1, -(k + 1))    # B_{y1} = A_{x2} + k + 1
-            + S(x2, y2, k)           # A_{x2} = B_{y2} + k
-            + S(x1, y2, -k)          # B_{y2} = A_{x1} + k
-            - S(x1, y1, -(k + 1))    # A_{x1} = B_{y1} - k - 1
-            - S(x2, y1, k)           # B_{y1} = A_{x2} - k
-            - S(x2, y2, -(k + 1))    # A_{x2} = B_{y2} - k - 1
-            - S(x1, y2, k + 1)       # B_{y2} = A_{x1} - k - 1
+            S(1, 1, k)             # A_1 = B_1 + k
+            + S(2, 1, -(k + 1))    # B_1 = A_2 + k + 1
+            + S(2, 2, k)           # A_2 = B_2 + k
+            + S(1, 2, -k)          # B_2 = A_1 + k
+            - S(1, 1, -(k + 1))    # A_1 = B_1 - k - 1
+            - S(2, 1, k)           # B_1 = A_2 - k
+            - S(2, 2, -(k + 1))    # A_2 = B_2 - k - 1
+            - S(1, 2, k + 1)       # B_2 = A_1 - k - 1
         )
     return total
 

@@ -59,16 +59,16 @@ def cmd_idmax(args) -> int:
 def cmd_vcrit(args) -> int:
     d = _check_d(args.d)
     branch = BRANCH_OF_STATE[args.state]
-    result = keyrate.critical_visibility(d, branch, cap=args.strategy_cap)
+    result = keyrate.critical_visibility(d, branch)
     method = "analytic" if branch == keyrate.ANALYTIC_MAX_ENTANGLED else "lp"
     print(f"d={d} state={args.state} method={method} vcrit={result.v_crit:.5f}")
     return 0
 
 
-def _vcrit_cell(d: int, branch: str, cap: int, column: str) -> str:
+def _vcrit_cell(d: int, branch: str, column: str) -> str:
     """One table cell; an LP cell over the strategy cap is left empty."""
     try:
-        return f"{keyrate.critical_visibility(d, branch, cap=cap).v_crit:.12g}"
+        return f"{keyrate.critical_visibility(d, branch).v_crit:.12g}"
     except polytope.StrategyCapExceeded as exc:
         print(f"d={d}: {exc}; leaving the {column} cell empty", file=sys.stderr)
         return ""
@@ -79,7 +79,7 @@ def cmd_table(args) -> int:
         raise ValueError(f"need 2 <= d-min <= d-max, got [{args.d_min}, {args.d_max}]")
     lines = [TABLE_HEADER]
     for d in range(args.d_min, args.d_max + 1):
-        cells = [_vcrit_cell(d, branch, args.strategy_cap, f"vcrit_{state}")
+        cells = [_vcrit_cell(d, branch, f"vcrit_{state}")
                  if args.state in (state, "both") else ""
                  for state, branch in BRANCH_OF_STATE.items()]
         lines.append(",".join([str(d), *cells]))
@@ -90,8 +90,7 @@ def cmd_table(args) -> int:
 def cmd_curve(args) -> int:
     d = _check_d(args.d)
     branch = BRANCH_OF_STATE[args.state]
-    points = keyrate.keyrate_curve(d, branch, args.v_min, args.v_max, args.steps,
-                                   cap=args.strategy_cap)
+    points = keyrate.keyrate_curve(d, branch, args.v_min, args.v_max, args.steps)
     scale = log2(d) if args.unit == "bits" else 1.0
     suffix = "_bits" if args.unit == "bits" else ""
     lines = [f"V,qL,H_AE{suffix},H_AB{suffix},r_ub{suffix}"]
@@ -112,9 +111,10 @@ def cmd_check_local(args) -> int:
     d = _check_d(args.d)
     if not 0.0 <= args.vtilde <= 1.0:
         raise ValueError(f"--vtilde must lie in [0,1], got {args.vtilde}")
+    polytope.check_strategy_cap(scenario.default_scenario(d))
     ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     mixed = scenario.mix_with_white_noise(ideal, args.vtilde)
-    local, residual = polytope.local_residual(mixed, cap=args.strategy_cap)
+    local, residual = polytope.local_residual(mixed)
     verdict = "local" if local else "nonlocal"
     print(f"d={d} vtilde={args.vtilde:g}: {verdict} "
           f"(slack {residual:.3e}, tolerance {polytope.LP_FEASIBILITY_TOL:g})")
@@ -130,11 +130,6 @@ def cmd_asymptotic(args) -> int:
     return 0
 
 
-def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--strategy-cap", type=int, default=polytope.STRATEGY_CAP,
-                   help="refuse LP solves with more deterministic strategies than this")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="diqkd-cc",
                      description="Upper bounds on device-independent QKD key rates "
@@ -148,7 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vcrit", help="critical visibility for one dimension")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--state", choices=("max", "cglmp"), default="max")
-    _add_cap(p)
     p.set_defaults(func=cmd_vcrit)
 
     p = sub.add_parser("table", help="critical-visibility table over a dimension range")
@@ -156,7 +150,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, required=True)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.add_argument("--state", choices=("max", "cglmp", "both"), default="both")
-    _add_cap(p)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("curve", help="key-rate bound on a visibility grid")
@@ -168,13 +161,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--svg", default=None, help="optional SVG line-chart path")
     p.add_argument("--unit", choices=("dits", "bits"), default="dits")
-    _add_cap(p)
     p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("check-local", help="local-polytope membership of the mixed table")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--vtilde", type=float, required=True)
-    _add_cap(p)
     p.set_defaults(func=cmd_check_local)
 
     p = sub.add_parser("asymptotic", help="d->infinity constants")

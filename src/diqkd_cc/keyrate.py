@@ -12,7 +12,7 @@ from math import log, pi
 import numpy as np
 
 from .cglmp import CATALAN, local_visibility_max_entangled
-from .polytope import STRATEGY_CAP, check_strategy_cap, max_local_visibility
+from .polytope import check_strategy_cap, max_local_visibility
 from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from .scenario import CorrelationTable, default_scenario, marginal, mix_with_white_noise
 
@@ -116,25 +116,25 @@ def nonlocal_table(d: int, branch: str) -> CorrelationTable:
         state = maximally_entangled_state(d)
     else:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    return cglmp_born_table(state, default_scenario(d))
+    return cglmp_born_table(state)
 
 
 @lru_cache(maxsize=32)
-def local_visibility(d: int, branch: str, cap: int = STRATEGY_CAP) -> float:
+def local_visibility(d: int, branch: str) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local.
 
     Analytic branch: 2/I_d^max. LP branches: one LP over the local polytope,
-    solved once per (d, branch, cap) and cached. The strategy cap is checked
+    solved once per (d, branch) and cached. The strategy cap is checked
     before the branch's state is built, since the tuned-state eigensolve alone
     grows as d^6.
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d)
-    check_strategy_cap(default_scenario(d), cap)
-    return max_local_visibility(nonlocal_table(d, branch), cap=cap)
+    check_strategy_cap(default_scenario(d))
+    return max_local_visibility(nonlocal_table(d, branch))
 
 
-def keyrate_point(d: int, V: float, branch: str, cap: int = STRATEGY_CAP) -> KeyRatePoint:
+def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     """r_ub = pa - ec at visibility V.
 
     The mixed table lies on the segment from white noise to the ideal table,
@@ -145,7 +145,7 @@ def keyrate_point(d: int, V: float, branch: str, cap: int = STRATEGY_CAP) -> Key
     """
     if not 0.0 <= V <= 1.0:
         raise ValueError(f"visibility must lie in [0,1], got {V}")
-    VL = local_visibility(d, branch, cap)
+    VL = local_visibility(d, branch)
     qL = (1.0 - V) / (1.0 - VL) if V >= VL else 1.0
     if branch == ANALYTIC_MAX_ENTANGLED:
         pa = 1.0 - qL
@@ -157,12 +157,12 @@ def keyrate_point(d: int, V: float, branch: str, cap: int = STRATEGY_CAP) -> Key
     return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
 
 
-def _bisect(f, lo: float, hi: float, width: float = BISECTION_WIDTH) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     f_lo, f_hi = f(lo), f(hi)
     if not (f_lo <= 0.0 <= f_hi):
         raise BracketError(
             f"no sign change on [{lo:.6f}, {hi:.6f}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}")
-    while hi - lo > width:
+    while hi - lo > BISECTION_WIDTH:
         mid = 0.5 * (lo + hi)
         if f(mid) <= 0.0:
             lo = mid
@@ -171,14 +171,13 @@ def _bisect(f, lo: float, hi: float, width: float = BISECTION_WIDTH) -> float:
     return 0.5 * (lo + hi)
 
 
-def critical_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED,
-                        cap: int = STRATEGY_CAP) -> CriticalVisibility:
+def critical_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED) -> CriticalVisibility:
     """Root of r_ub(V) on [V_L, 1], located by bisection (width 1e-8);
     r_ub is monotone and changes sign on that bracket."""
     def f(V: float) -> float:
-        return keyrate_point(d, V, branch, cap=cap).r_ub
+        return keyrate_point(d, V, branch).r_ub
 
-    v = _bisect(f, local_visibility(d, branch, cap), 1.0)
+    v = _bisect(f, local_visibility(d, branch), 1.0)
     return CriticalVisibility(d=d, branch=branch, v_crit=v, residual=f(v))
 
 
@@ -199,8 +198,8 @@ def thread_count() -> int:
     return 1
 
 
-def keyrate_curve(d: int, branch: str, v_min: float, v_max: float, steps: int,
-                  cap: int = STRATEGY_CAP) -> list[KeyRatePoint]:
+def keyrate_curve(d: int, branch: str, v_min: float, v_max: float,
+                  steps: int) -> list[KeyRatePoint]:
     """Evaluate the branch on a uniform visibility grid, endpoints included."""
     if not (0.0 <= v_min < v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")
@@ -208,4 +207,4 @@ def keyrate_curve(d: int, branch: str, v_min: float, v_max: float, steps: int,
         raise ValueError(f"steps must be >= 2, got {steps}")
     grid = np.linspace(v_min, v_max, steps)
     grid[0], grid[-1] = v_min, v_max
-    return [keyrate_point(d, float(V), branch, cap=cap) for V in grid]
+    return [keyrate_point(d, float(V), branch) for V in grid]

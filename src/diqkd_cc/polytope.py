@@ -14,7 +14,7 @@ from scipy.optimize import linprog
 
 from .scenario import CorrelationTable, Scenario
 
-#: Refuse to enumerate more deterministic strategies than this by default.
+#: Refuse to enumerate more deterministic strategies than this.
 STRATEGY_CAP = 10**6
 
 #: Per-constraint feasibility tolerance for all LP solves.
@@ -27,7 +27,7 @@ _LINPROG_OPTIONS = {
 
 
 class StrategyCapExceeded(ValueError):
-    """Scenario has more deterministic strategies than the configured cap."""
+    """Scenario has more deterministic strategies than STRATEGY_CAP."""
 
 
 class DecompositionInfeasible(RuntimeError):
@@ -72,16 +72,16 @@ def strategy_from_id(ident: int, scenario: Scenario) -> DeterministicStrategy:
     return DeterministicStrategy(fA=tuple(digits[: s.nA]), fB=tuple(digits[s.nA:]), id=ident)
 
 
-def check_strategy_cap(scenario: Scenario, cap: int = STRATEGY_CAP) -> None:
-    """Raise StrategyCapExceeded if the scenario has more than cap strategies."""
+def check_strategy_cap(scenario: Scenario) -> None:
+    """Raise StrategyCapExceeded if the scenario has more than STRATEGY_CAP strategies."""
     n = scenario.n_strategies
-    if n > cap:
-        raise StrategyCapExceeded(f"{n} strategies exceed the cap of {cap}")
+    if n > STRATEGY_CAP:
+        raise StrategyCapExceeded(f"{n} strategies exceed the cap of {STRATEGY_CAP}")
 
 
-def enumerate_strategies(scenario: Scenario, cap: int = STRATEGY_CAP) -> Iterator[DeterministicStrategy]:
+def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
     """All d^(nA+nB) strategies in increasing id order, each exactly once."""
-    check_strategy_cap(scenario, cap)
+    check_strategy_cap(scenario)
     for ident in range(scenario.n_strategies):
         yield strategy_from_id(ident, scenario)
 
@@ -102,13 +102,13 @@ def _table_vector(t: CorrelationTable) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _strategy_matrix(scenario: Scenario, cap: int) -> sp.csc_array:
+def _strategy_matrix(scenario: Scenario) -> sp.csc_array:
     """Sparse (d^2 nA nB) x N matrix whose columns are the strategy tables.
 
     Built digit-wise over all ids at once; each column has exactly nA*nB
     nonzeros, so nothing dense is ever materialized.
     """
-    check_strategy_cap(scenario, cap)
+    check_strategy_cap(scenario)
     s = scenario
     n = s.n_strategies
     ids = np.arange(n)
@@ -142,8 +142,7 @@ class CcDecomposition:
         return CorrelationTable(scenario, p)
 
 
-def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
-                     cap: int = STRATEGY_CAP) -> CcDecomposition:
+def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable) -> CcDecomposition:
     """Solve: maximize sum_i q_i over q >= 0 with
     sum_i q_i p_i(a,b|x,y) + qNL pNL(a,b|x,y) = observed(a,b|x,y) for all
     (a,b,x,y) and sum q + qNL = 1.
@@ -154,7 +153,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
     if observed.scenario != pNL.scenario:
         raise ValueError("observed and nonlocal tables use different scenarios")
     scenario = observed.scenario
-    S = _strategy_matrix(scenario, cap)
+    S = _strategy_matrix(scenario)
     n = S.shape[1]
     nl_col = sp.csc_array(_table_vector(pNL).reshape(-1, 1))
     A_eq = sp.vstack([sp.hstack([S, nl_col]), np.ones((1, n + 1))], format="csc")
@@ -163,7 +162,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None),
                   method="highs", options=_LINPROG_OPTIONS)
     if not res.success:
-        _, residual = local_residual(observed, cap=cap, pNL=pNL)
+        _, residual = local_residual(observed, pNL=pNL)
         raise DecompositionInfeasible(
             f"no convex decomposition reproduces the table (noise slack {residual:.3e})",
             residual)
@@ -177,8 +176,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable,
     return CcDecomposition(weights=weights, qNL=qNL, qL=qL, max_residual=max_residual)
 
 
-def max_local_visibility(t: CorrelationTable, cap: int = STRATEGY_CAP,
-                         pNL: CorrelationTable | None = None) -> float:
+def max_local_visibility(t: CorrelationTable, pNL: CorrelationTable | None = None) -> float:
     """Largest V in [0, 1] at which V t + (1-V) u is local, u = 1/d^2: one
     minus the least white-noise weight that makes t local (optionally
     allowing a nonlocal column pNL in the hull).
@@ -190,7 +188,7 @@ def max_local_visibility(t: CorrelationTable, cap: int = STRATEGY_CAP,
     segment from u to t: qL(V) = min(1, (1-V)/(1-V_L)).
     """
     scenario = t.scenario
-    S = _strategy_matrix(scenario, cap)
+    S = _strategy_matrix(scenario)
     if pNL is not None:
         S = sp.hstack([S, sp.csc_array(_table_vector(pNL).reshape(-1, 1))], format="csc")
     n = S.shape[1]
@@ -210,18 +208,18 @@ def max_local_visibility(t: CorrelationTable, cap: int = STRATEGY_CAP,
     return float(res.x[n])
 
 
-def local_residual(t: CorrelationTable, cap: int = STRATEGY_CAP,
+def local_residual(t: CorrelationTable,
                    pNL: CorrelationTable | None = None) -> tuple[bool, float]:
     """Least white-noise weight 1 - V* that makes t a strategy mixture
     (optionally allowing a nonlocal column). Local iff the slack is within
     the LP feasibility tolerance. On the noise segment t = V p + (1-V) u of a
     table p with local visibility V_L the slack is max(0, 1 - V_L/V).
     """
-    slack = 1.0 - max_local_visibility(t, cap=cap, pNL=pNL)
+    slack = 1.0 - max_local_visibility(t, pNL=pNL)
     return slack <= LP_FEASIBILITY_TOL, slack
 
 
-def is_local(t: CorrelationTable, cap: int = STRATEGY_CAP) -> bool:
+def is_local(t: CorrelationTable) -> bool:
     """True iff t decomposes over deterministic strategies alone."""
-    local, _ = local_residual(t, cap=cap)
+    local, _ = local_residual(t)
     return local

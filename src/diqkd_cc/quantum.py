@@ -120,10 +120,9 @@ def born_table(state: PureState, alice_phases: Sequence[float],
     return CorrelationTable(scenario, p)
 
 
-def cglmp_born_table(state: PureState, scenario: Scenario | None = None) -> CorrelationTable:
+def cglmp_born_table(state: PureState) -> CorrelationTable:
     """Born table of the state under the optimal phases in the default shape."""
-    if scenario is None:
-        scenario = default_scenario(state.d)
+    scenario = default_scenario(state.d)
     alice, bob = cglmp_optimal_phases(scenario)
     return born_table(state, alice, bob, scenario)
 

@@ -6,14 +6,14 @@ from __future__ import annotations
 from math import floor, log10
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     """A few round tick positions covering [lo, hi]."""
     span = hi - lo
     if span <= 0:
         return [lo]
-    step = 10.0 ** floor(log10(span / count))
+    step = 10.0 ** floor(log10(span / 5))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= 5:
             step *= mult
             break
     first = floor(lo / step) * step
@@ -27,12 +27,13 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def line_chart(xs, ys, xlabel: str, ylabel: str, title: str = "",
-               width: int = 640, height: int = 420, zero_line: bool = True) -> str:
+               zero_line: bool = True) -> str:
     """Render one polyline with axes and tick labels; returns the SVG text."""
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two equal-length series of at least 2 points")
+    width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 28, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

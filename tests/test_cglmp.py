@@ -139,17 +139,6 @@ def test_coefficients_shape_and_d1():
         cglmp_coefficients(1)
 
 
-def test_default_settings_are_one_two():
-    assert cglmp_value(ME3) == cglmp_value(ME3, x1=1, x2=2, y1=1, y2=2)
-
-
-def test_settings_must_be_distinct():
-    with pytest.raises(ValueError):
-        cglmp_value(ME3, x1=1, x2=1)
-    with pytest.raises(ValueError):
-        cglmp_value(ME3, y1=2, y2=2)
-
-
 def test_optimal_state_beats_maximally_entangled():
     for d in (3, 4, 5):
         tuned = cglmp_value(cglmp_born_table(cglmp_state(d)))

@@ -1,4 +1,5 @@
 """Command-line interface: output contracts, file formats, exit codes."""
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diqkd_cc
-from diqkd_cc import keyrate, polytope
+from diqkd_cc import cli, keyrate, polytope
 from diqkd_cc.cli import TABLE_HEADER, main
 
 
@@ -224,6 +225,17 @@ def test_check_local_outside_polytope(capsys):
     assert out == "d=3 vtilde=0.73: nonlocal (slack 4.637e-02, tolerance 1e-09)\n"
 
 
+def test_check_local_checks_strategy_cap_before_building_table(monkeypatch, capsys):
+    def refuse(state):
+        raise AssertionError(f"Born table built for d={state.d}")
+
+    monkeypatch.setattr(cli.quantum, "cglmp_born_table", refuse)
+    code, out, err = run(["check-local", "--d", "16", "--vtilde", "0.7"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "1048576 strategies exceed the cap of 1000000" in err
+
+
 def test_check_local_rejects_bad_visibility(capsys):
     code, _, err = run(["check-local", "--d", "3", "--vtilde", "1.5"], capsys)
     assert code == 1
@@ -253,6 +265,40 @@ def test_method_option_is_rejected(args, tmp_path, monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert "unrecognized arguments: --method lp" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["vcrit", "--d", "3"],
+    ["table", "--d-min", "2", "--d-max", "3"],
+    ["curve", "--d", "3", "--v-min", "0.8", "--v-max", "1.0", "--steps", "3", "--out", "x.csv"],
+    ["check-local", "--d", "3", "--vtilde", "0.7"],
+], ids=["vcrit", "table", "curve", "check-local"])
+def test_strategy_cap_option_is_rejected(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(args + ["--strategy-cap", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments: --strategy-cap 5" in err
+
+
+def test_option_strings_are_pinned():
+    """Each subcommand's options; a new setting needs a deliberate edit here."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+    def options(p):
+        return sorted(s for action in p._actions for s in action.option_strings)
+
+    assert options(parser) == ["--help", "-h"]
+    assert {name: options(p) for name, p in sub.choices.items()} == {
+        "idmax": ["--d", "--help", "-h"],
+        "vcrit": ["--d", "--help", "--state", "-h"],
+        "table": ["--d-max", "--d-min", "--help", "--out", "--state", "-h"],
+        "curve": ["--d", "--help", "--out", "--state", "--steps", "--svg", "--unit",
+                  "--v-max", "--v-min", "-h"],
+        "check-local": ["--d", "--help", "--vtilde", "-h"],
+        "asymptotic": ["--help", "-h"],
+    }
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -88,8 +88,9 @@ def test_strategy_id_range_checked():
 def test_strategy_cap_enforced():
     with pytest.raises(StrategyCapExceeded, match="1048576"):
         list(enumerate_strategies(Scenario(d=16)))
-    with pytest.raises(StrategyCapExceeded):
-        max_local_weight(ME2, ME2, cap=10)
+    u16 = uniform_table(Scenario(d=16))
+    with pytest.raises(StrategyCapExceeded, match="1048576"):
+        max_local_weight(u16, u16)
 
 
 def test_strategy_tables_are_deterministic_points():
