@@ -111,7 +111,7 @@ def cmd_check_local(args) -> int:
     d = _check_d(args.d)
     if not 0.0 <= args.vtilde <= 1.0:
         raise ValueError(f"--vtilde must lie in [0,1], got {args.vtilde}")
-    polytope.check_strategy_cap(scenario.default_scenario(d))
+    polytope.check_strategy_cap(scenario.default_scenario(d), shift_classes=True)
     ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     mixed = scenario.mix_with_white_noise(ideal, args.vtilde)
     local, residual = polytope.local_residual(mixed)

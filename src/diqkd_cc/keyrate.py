@@ -123,14 +123,14 @@ def nonlocal_table(d: int, branch: str) -> CorrelationTable:
 def local_visibility(d: int, branch: str) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local.
 
-    Analytic branch: 2/I_d^max. LP branches: one LP over the local polytope,
-    solved once per (d, branch) and cached. The strategy cap is checked
-    before the branch's state is built, since the tuned-state eigensolve alone
-    grows as d^6.
+    Analytic branch: 2/I_d^max. LP branches: one LP over the d^4 shift
+    classes of the local polytope, solved once per (d, branch) and cached. The
+    class cap is checked before the branch's state is built, since the
+    tuned-state eigensolve alone grows as d^6.
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d)
-    check_strategy_cap(default_scenario(d))
+    check_strategy_cap(default_scenario(d), shift_classes=True)
     return max_local_visibility(nonlocal_table(d, branch))
 
 

@@ -1,6 +1,11 @@
 """Local deterministic strategies and the two local-polytope LPs: the
 convex-combination attack (Eve's maximal local weight at one observed table)
 and the white-noise visibility of a table (V_L, membership and its slack).
+
+The visibility LP of a table that depends on the outcomes only through
+b - a mod d is solved on its difference distribution over the d^4 strategy
+classes of the joint outcome shift (a, b) -> (a+k, b+k) (Rosset, Bancal &
+Gisin, arXiv:1404.1306); any other table keeps all d^5 strategies.
 """
 from __future__ import annotations
 
@@ -14,11 +19,15 @@ from scipy.optimize import linprog
 
 from .scenario import CorrelationTable, Scenario
 
-#: Refuse to enumerate more deterministic strategies than this.
+#: Refuse to enumerate more deterministic strategies (or, for the shift-class
+#: LP, more shift classes: one strategy per class) than this.
 STRATEGY_CAP = 10**6
 
 #: Per-constraint feasibility tolerance for all LP solves.
 LP_FEASIBILITY_TOL = 1e-9
+
+#: A table is shift-invariant if max |p(a,a+c|x,y) - D(c|x,y)/d| is at most this.
+_SHIFT_INVARIANCE_TOL = 1e-12
 
 _LINPROG_OPTIONS = {
     "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
@@ -72,9 +81,10 @@ def strategy_from_id(ident: int, scenario: Scenario) -> DeterministicStrategy:
     return DeterministicStrategy(fA=tuple(digits[: s.nA]), fB=tuple(digits[s.nA:]), id=ident)
 
 
-def check_strategy_cap(scenario: Scenario) -> None:
-    """Raise StrategyCapExceeded if the scenario has more than STRATEGY_CAP strategies."""
-    n = scenario.n_strategies
+def check_strategy_cap(scenario: Scenario, shift_classes: bool = False) -> None:
+    """Raise StrategyCapExceeded if an LP would enumerate more than STRATEGY_CAP
+    strategies: all d^(nA+nB), or d^(nA+nB-1) shift classes."""
+    n = scenario.n_strategies // scenario.d if shift_classes else scenario.n_strategies
     if n > STRATEGY_CAP:
         raise StrategyCapExceeded(f"{n} strategies exceed the cap of {STRATEGY_CAP}")
 
@@ -101,16 +111,30 @@ def _table_vector(t: CorrelationTable) -> np.ndarray:
     return t.p.reshape(-1)
 
 
+def _difference_vector(t: CorrelationTable) -> np.ndarray | None:
+    """D(c|x,y) = sum_a p(a, a+c mod d|x,y) in (c,x,y) row order, or None if
+    t is not shift-invariant (it then has no exact difference-row form)."""
+    d = t.scenario.d
+    a = np.arange(d)[:, None]
+    shifted = t.p[a, (a + np.arange(d)) % d]  # shifted[a, c] = p(a, a+c)
+    D = shifted.sum(axis=0)
+    if np.max(np.abs(shifted - D / d)) > _SHIFT_INVARIANCE_TOL:
+        return None
+    return D.reshape(-1)
+
+
 @lru_cache(maxsize=8)
-def _strategy_matrix(scenario: Scenario) -> sp.csc_array:
+def _strategy_matrix(scenario: Scenario, shift_classes: bool) -> sp.csc_array:
     """Sparse (d^2 nA nB) x N matrix whose columns are the strategy tables.
 
-    Built digit-wise over all ids at once; each column has exactly nA*nB
+    With shift_classes, the columns are the ids below d^(nA+nB-1) (Alice's
+    first output 1: one strategy per shift class) and the rows the d nA nB
+    differences ((b-a) mod d, x, y). Built digit-wise over all ids at once; each column has exactly nA*nB
     nonzeros, so nothing dense is ever materialized.
     """
-    check_strategy_cap(scenario)
+    check_strategy_cap(scenario, shift_classes)
     s = scenario
-    n = s.n_strategies
+    n = s.n_strategies // s.d if shift_classes else s.n_strategies
     ids = np.arange(n)
     n_digits = s.nA + s.nB
     digits = [(ids // s.d ** (n_digits - 1 - j)) % s.d for j in range(n_digits)]
@@ -119,12 +143,14 @@ def _strategy_matrix(scenario: Scenario) -> sp.csc_array:
         for y in range(s.nB):
             a = digits[x]
             b = digits[s.nA + y]
-            rows.append(((a * s.d + b) * s.nA + x) * s.nB + y)
+            outcome = (b - a) % s.d if shift_classes else a * s.d + b
+            rows.append((outcome * s.nA + x) * s.nB + y)
             cols.append(ids)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
+    n_outcomes = s.d if shift_classes else s.d**2
     return sp.csc_array((np.ones(rows.size), (rows, cols)),
-                        shape=(s.d**2 * s.nA * s.nB, n))
+                        shape=(n_outcomes * s.nA * s.nB, n))
 
 
 @dataclass(frozen=True)
@@ -153,7 +179,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable) -> CcDec
     if observed.scenario != pNL.scenario:
         raise ValueError("observed and nonlocal tables use different scenarios")
     scenario = observed.scenario
-    S = _strategy_matrix(scenario)
+    S = _strategy_matrix(scenario, False)
     n = S.shape[1]
     nl_col = sp.csc_array(_table_vector(pNL).reshape(-1, 1))
     A_eq = sp.vstack([sp.hstack([S, nl_col]), np.ones((1, n + 1))], format="csc")
@@ -186,14 +212,22 @@ def max_local_visibility(t: CorrelationTable, pNL: CorrelationTable | None = Non
     (a,b,x,y) and sum q = 1 (q includes the pNL weight when given). For an
     ideal table t this is V_L, which fixes the maximal local weight on the
     segment from u to t: qL(V) = min(1, (1-V)/(1-V_L)).
+
+    If t (and pNL) are shift-invariant, the same LP is solved exactly on
+    their difference distributions D over the strategy classes, with u = 1/d.
     """
     scenario = t.scenario
-    S = _strategy_matrix(scenario)
+    tables = [t] if pNL is None else [t, pNL]
+    vectors = [_difference_vector(x) for x in tables]
+    shift_classes = all(v is not None for v in vectors)
+    if not shift_classes:
+        vectors = [_table_vector(x) for x in tables]
+    S = _strategy_matrix(scenario, shift_classes)
     if pNL is not None:
-        S = sp.hstack([S, sp.csc_array(_table_vector(pNL).reshape(-1, 1))], format="csc")
+        S = sp.hstack([S, sp.csc_array(vectors[1].reshape(-1, 1))], format="csc")
     n = S.shape[1]
-    u = np.full(S.shape[0], 1.0 / scenario.d**2)
-    v_col = sp.csc_array((u - _table_vector(t)).reshape(-1, 1))
+    u = np.full(S.shape[0], 1.0 / (scenario.d if shift_classes else scenario.d**2))
+    v_col = sp.csc_array((u - vectors[0]).reshape(-1, 1))
     total = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
     A_eq = sp.vstack([sp.hstack([S, v_col]), total], format="csc")
     b_eq = np.concatenate([u, [1.0]])

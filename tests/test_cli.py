@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diqkd_cc
-from diqkd_cc import cli, keyrate, polytope
+from diqkd_cc import cglmp, cli, keyrate, polytope
 from diqkd_cc.cli import TABLE_HEADER, main
 
 
@@ -108,12 +108,20 @@ def test_table_cglmp_only_leaves_max_column_empty(capsys):
     assert out.strip().splitlines() == [TABLE_HEADER, *expected]
 
 
-def test_table_strategy_cap_skips_lp_column(capsys):
+def test_table_tuned_state_d16(capsys):
+    # 16^4 shift classes are under the strategy cap, so the cglmp cell is filled
     code, out, err = run(["table", "--d-min", "16", "--d-max", "16"], capsys)
+    assert code == 0
+    assert out == f"{TABLE_HEADER}\n16,0.79507918344,0.796066603029\n"
+    assert err == ""
+
+
+def test_table_strategy_cap_skips_lp_column(capsys):
+    code, out, err = run(["table", "--d-min", "32", "--d-max", "32"], capsys)
     assert code == 0
     lines = out.strip().splitlines()
     d, vmax, vcglmp = lines[1].split(",")
-    assert d == "16"
+    assert d == "32"
     assert float(vmax) > 0.75
     assert vcglmp == ""
     assert "exceed" in err
@@ -225,12 +233,29 @@ def test_check_local_outside_polytope(capsys):
     assert out == "d=3 vtilde=0.73: nonlocal (slack 4.637e-02, tolerance 1e-09)\n"
 
 
+def test_check_local_d16_slack_is_white_noise_deficit(monkeypatch, capsys):
+    # slack = 1 - V_L/vtilde with V_L = 2/I_16^max on the noise segment
+    results = []
+    solve = polytope.local_residual
+
+    def recorded(t):
+        results.append(solve(t))
+        return results[-1]
+
+    monkeypatch.setattr(polytope, "local_residual", recorded)
+    code, out, _ = run(["check-local", "--d", "16", "--vtilde", "0.7"], capsys)
+    assert code == 0
+    assert out == "d=16 vtilde=0.7: nonlocal (slack 3.180e-02, tolerance 1e-09)\n"
+    [(_, slack)] = results
+    assert slack == pytest.approx(1.0 - (2.0 / cglmp.idmax_closed_form(16)) / 0.7, abs=1e-9)
+
+
 def test_check_local_checks_strategy_cap_before_building_table(monkeypatch, capsys):
     def refuse(state):
         raise AssertionError(f"Born table built for d={state.d}")
 
     monkeypatch.setattr(cli.quantum, "cglmp_born_table", refuse)
-    code, out, err = run(["check-local", "--d", "16", "--vtilde", "0.7"], capsys)
+    code, out, err = run(["check-local", "--d", "32", "--vtilde", "0.7"], capsys)
     assert code == 1
     assert out == ""
     assert "1048576 strategies exceed the cap of 1000000" in err

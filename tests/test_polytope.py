@@ -27,6 +27,7 @@ from diqkd_cc import (
     uniform_table,
     validate,
 )
+from diqkd_cc import keyrate, polytope
 from diqkd_cc.keyrate import nonlocal_table
 from diqkd_cc.polytope import LP_FEASIBILITY_TOL
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
@@ -200,6 +201,54 @@ def test_slack_on_noise_segment_is_white_noise_deficit(d, branch):
         local, slack = local_residual(mix_with_white_noise(pNL, v))
         assert local == (v <= V_L)
         assert slack == pytest.approx(max(0.0, 1.0 - V_L / v), abs=1e-9)
+
+
+@pytest.fixture
+def lp_shapes(monkeypatch):
+    """Record the A_eq shape of every linprog call."""
+    shapes = []
+    solve = polytope.linprog
+
+    def recorded(*args, **kwargs):
+        shapes.append(kwargs["A_eq"].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "linprog", recorded)
+    return shapes
+
+
+def test_visibility_lp_runs_on_shift_classes(lp_shapes):
+    # 6d difference rows + the total-weight row; d^4 classes + the V column,
+    # + the pNL column when one is given
+    keyrate.local_visibility.cache_clear()
+    local_visibility(3, LP_CGLMP_STATE)
+    pNL = nonlocal_table(3, LP_CGLMP_STATE)
+    local_residual(mix_with_white_noise(pNL, 0.9), pNL=pNL)
+    assert lp_shapes == [(19, 82), (19, 83)]
+
+
+def _relabel_bob(t: CorrelationTable) -> CorrelationTable:
+    """Swap Bob's outcomes 1 and 2 at his setting 1: no longer shift-invariant."""
+    p = t.p.copy()
+    p[:, [0, 1], :, 0] = p[:, [1, 0], :, 0]
+    return CorrelationTable(t.scenario, p)
+
+
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_relabelled_table_takes_full_lp_with_same_slack(d, branch, lp_shapes):
+    # relabelling preserves locality and white noise, so the full-coordinate LP
+    # on the relabelled table must match the shift-class LP on the original
+    pNL = nonlocal_table(d, branch)
+    V_L = local_visibility(d, branch)
+    for v in (V_L, V_L + 0.02, 1.0):
+        mixed = mix_with_white_noise(pNL, v)
+        lp_shapes.clear()
+        reduced = local_residual(mixed)
+        full = local_residual(_relabel_bob(mixed))
+        assert lp_shapes == [(6 * d + 1, d**4 + 1), (6 * d**2 + 1, d**5 + 1)]
+        assert full[0] == reduced[0]
+        assert full[1] == pytest.approx(reduced[1], abs=1e-9)
 
 
 def test_nonlocal_column_restores_feasibility():
