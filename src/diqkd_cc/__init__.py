@@ -9,7 +9,6 @@ from .scenario import (
     CorrelationTable,
     Scenario,
     ValidationReport,
-    default_scenario,
     k_shift_probability,
     marginal,
     mix_with_white_noise,
@@ -22,11 +21,8 @@ from .quantum import (
     BellOperatorMatrix,
     MeasurementBasis,
     PureState,
-    bell_operator,
-    born_table,
     cglmp_bell_operator,
     cglmp_born_table,
-    cglmp_optimal_phases,
     cglmp_state,
     fourier_basis,
     max_eigenpair,

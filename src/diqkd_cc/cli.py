@@ -111,7 +111,7 @@ def cmd_check_local(args) -> int:
     d = _check_d(args.d)
     if not 0.0 <= args.vtilde <= 1.0:
         raise ValueError(f"--vtilde must lie in [0,1], got {args.vtilde}")
-    polytope.check_strategy_cap(scenario.default_scenario(d), shift_classes=True)
+    polytope.check_strategy_cap(scenario.Scenario(d), shift_classes=True)
     ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     mixed = scenario.mix_with_white_noise(ideal, args.vtilde)
     local, residual = polytope.local_residual(mixed)
@@ -185,7 +185,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, ArithmeticError, OSError) as exc:
+    except (RuntimeError, ArithmeticError, MemoryError, OSError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

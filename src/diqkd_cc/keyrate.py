@@ -14,7 +14,7 @@ import numpy as np
 from .cglmp import CATALAN, local_visibility_max_entangled
 from .polytope import check_strategy_cap, max_local_visibility
 from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
-from .scenario import CorrelationTable, default_scenario, marginal, mix_with_white_noise
+from .scenario import CorrelationTable, Scenario, marginal, mix_with_white_noise
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
@@ -130,7 +130,7 @@ def local_visibility(d: int, branch: str) -> float:
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d)
-    check_strategy_cap(default_scenario(d), shift_classes=True)
+    check_strategy_cap(Scenario(d), shift_classes=True)
     return max_local_visibility(nonlocal_table(d, branch))
 
 

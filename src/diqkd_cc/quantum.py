@@ -5,12 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
-from typing import Sequence
 
 import numpy as np
 
 from .cglmp import cglmp_coefficients
-from .scenario import CorrelationTable, Scenario, default_scenario
+from .scenario import CorrelationTable, Scenario
 
 ORTHONORMALITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -18,10 +17,12 @@ EIGENPAIR_RESIDUAL_TOL = 1e-9
 
 #: Fourier phases maximizing I_d on the maximally entangled state for the two
 #: Bell settings of each party (validated against idmax_closed_form for
-#: d = 2..10; see tests). The key settings reuse Alice's keyX phase on both
-#: sides, which makes the key-setting table perfectly correlated.
+#: d = 2..10; see tests).
 CGLMP_ALICE_PHASES = (0.0, -0.5)
 CGLMP_BOB_PHASES = (0.25, -0.25)
+#: Bob's key setting reuses Alice's keyX phase, which makes the key-setting
+#: table perfectly correlated.
+_BOB_KEY_PHASE = CGLMP_ALICE_PHASES[Scenario.keyX - 1]
 
 
 @dataclass(frozen=True)
@@ -89,70 +90,19 @@ def maximally_entangled_state(d: int) -> PureState:
     return PureState(d=d, amplitudes=amp)
 
 
-def cglmp_optimal_phases(scenario: Scenario) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-setting phase lists for the default 2x3 scenario shape: Bell phases
-    on settings 1..2, and the key settings share Alice's keyX phase."""
-    if scenario.nA != 2 or scenario.nB != 3:
-        raise ValueError("optimal phases are defined for the default 2x3 scenario shape")
-    alice = CGLMP_ALICE_PHASES
-    bob = CGLMP_BOB_PHASES + (alice[scenario.keyX - 1],)
-    return alice, bob
-
-
-def born_table(state: PureState, alice_phases: Sequence[float],
-               bob_phases: Sequence[float], scenario: Scenario) -> CorrelationTable:
-    """p(a,b|x,y) = |<a_x| <b_y| psi>|^2 with Fourier bases per setting."""
-    if len(alice_phases) != scenario.nA or len(bob_phases) != scenario.nB:
-        raise ValueError(
-            f"phase lists ({len(alice_phases)}, {len(bob_phases)}) do not match "
-            f"settings ({scenario.nA}, {scenario.nB})")
-    if state.d != scenario.d:
-        raise ValueError(f"state dimension {state.d} != scenario d {scenario.d}")
+def cglmp_born_table(state: PureState) -> CorrelationTable:
+    """p(a,b|x,y) = |<a_x| <b_y| psi>|^2 with the optimal Fourier bases per setting."""
     d = state.d
+    scenario = Scenario(d)
     Psi = state.amplitudes.reshape(d, d)
     p = np.empty((d, d, scenario.nA, scenario.nB))
-    for x, alpha in enumerate(alice_phases):
+    for x, alpha in enumerate(CGLMP_ALICE_PHASES):
         Va = fourier_basis(d, alpha).vectors
-        for y, beta in enumerate(bob_phases):
+        for y, beta in enumerate(CGLMP_BOB_PHASES + (_BOB_KEY_PHASE,)):
             Vb = fourier_basis(d, beta, conjugate=True).vectors
             amplitude = Va.conj() @ Psi @ Vb.conj().T   # (a, b)
             p[:, :, x, y] = np.abs(amplitude) ** 2
     return CorrelationTable(scenario, p)
-
-
-def cglmp_born_table(state: PureState) -> CorrelationTable:
-    """Born table of the state under the optimal phases in the default shape."""
-    scenario = default_scenario(state.d)
-    alice, bob = cglmp_optimal_phases(scenario)
-    return born_table(state, alice, bob, scenario)
-
-
-def bell_operator(coefficients: np.ndarray, alice_phases: Sequence[float],
-                  bob_phases: Sequence[float], d: int) -> BellOperatorMatrix:
-    """sum_{a,b,x,y} c(a,b,x,y) P_{a|x} (x) P_{b|y} with rank-1 Fourier projectors."""
-    coefficients = np.asarray(coefficients)
-    if np.iscomplexobj(coefficients) and np.max(np.abs(coefficients.imag)) > 0:
-        raise ValueError("Bell coefficients must be real")
-    coefficients = coefficients.real.astype(float)
-    nA, nB = coefficients.shape[2], coefficients.shape[3]
-    if len(alice_phases) != nA or len(bob_phases) != nB:
-        raise ValueError("phase lists do not cover the coefficient settings")
-    B = np.zeros((d * d, d * d), dtype=complex)
-    for x in range(nA):
-        Va = fourier_basis(d, alice_phases[x]).vectors
-        for y in range(nB):
-            Vb = fourier_basis(d, bob_phases[y], conjugate=True).vectors
-            for a in range(d):
-                Pa = np.outer(Va[a], Va[a].conj())
-                row = coefficients[a, :, x, y]
-                if not row.any():
-                    continue
-                Pb_sum = np.zeros((d, d), dtype=complex)
-                for b in range(d):
-                    if row[b] != 0.0:
-                        Pb_sum += row[b] * np.outer(Vb[b], Vb[b].conj())
-                B += np.kron(Pa, Pb_sum)
-    return BellOperatorMatrix(d=d, matrix=B, coefficients=coefficients)
 
 
 def max_eigenpair(op: BellOperatorMatrix) -> tuple[float, PureState]:
@@ -167,7 +117,25 @@ def max_eigenpair(op: BellOperatorMatrix) -> tuple[float, PureState]:
 
 
 def cglmp_bell_operator(d: int) -> BellOperatorMatrix:
-    return bell_operator(cglmp_coefficients(d), CGLMP_ALICE_PHASES, CGLMP_BOB_PHASES, d)
+    """sum_{a,b,x,y} c(a,b,x,y) P_{a|x} (x) P_{b|y} over the two Bell settings of
+    each party, with rank-1 Fourier projectors: the d^2 x d^2 CGLMP operator."""
+    coefficients = cglmp_coefficients(d)
+    B = np.zeros((d * d, d * d), dtype=complex)
+    for x, alpha in enumerate(CGLMP_ALICE_PHASES):
+        Va = fourier_basis(d, alpha).vectors
+        for y, beta in enumerate(CGLMP_BOB_PHASES):
+            Vb = fourier_basis(d, beta, conjugate=True).vectors
+            for a in range(d):
+                Pa = np.outer(Va[a], Va[a].conj())
+                row = coefficients[a, :, x, y]
+                if not row.any():
+                    continue
+                Pb_sum = np.zeros((d, d), dtype=complex)
+                for b in range(d):
+                    if row[b] != 0.0:
+                        Pb_sum += row[b] * np.outer(Vb[b], Vb[b].conj())
+                B += np.kron(Pa, Pb_sum)
+    return BellOperatorMatrix(d=d, matrix=B, coefficients=coefficients)
 
 
 def cglmp_state(d: int) -> PureState:

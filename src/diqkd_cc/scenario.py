@@ -7,6 +7,7 @@ joint conditional probabilities p(a,b|x,y) with shape (d, d, nA, nB).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -19,34 +20,22 @@ MARGINAL_NO_SIGNALING_TOL = 1e-6
 
 @dataclass(frozen=True)
 class Scenario:
-    """d outcomes per party, nA/nB settings, and the designated key settings.
-
-    Default protocol shape: two Bell settings per party plus one extra key
-    setting for Bob; Alice keys on her second Bell setting.
-    """
+    """d outcomes per party in the protocol's one shape: two Bell settings per
+    party plus one extra key setting for Bob; Alice keys on her second Bell
+    setting, so the key pair is (x, y) = (2, 3)."""
+    nA: ClassVar[int] = 2
+    nB: ClassVar[int] = 3
+    keyX: ClassVar[int] = 2
+    keyY: ClassVar[int] = 3
     d: int
-    nA: int = 2
-    nB: int = 3
-    keyX: int = 2
-    keyY: int = 3
 
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
-        if self.nA < 2 or self.nB < 2:
-            raise ValueError(f"need at least two settings per party, got nA={self.nA} nB={self.nB}")
-        if not (1 <= self.keyX <= self.nA):
-            raise ValueError(f"keyX={self.keyX} outside [1, {self.nA}]")
-        if not (1 <= self.keyY <= self.nB):
-            raise ValueError(f"keyY={self.keyY} outside [1, {self.nB}]")
 
     @property
     def n_strategies(self) -> int:
         return self.d ** (self.nA + self.nB)
-
-
-def default_scenario(d: int) -> Scenario:
-    return Scenario(d=d)
 
 
 @dataclass(frozen=True)
@@ -171,8 +160,12 @@ def table_from_text(text: str) -> CorrelationTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("#"):
         raise ValueError("missing `# d nA nB keyX keyY` header line")
-    d, nA, nB, keyX, keyY = (int(v) for v in lines[0][1:].split())
-    s = Scenario(d=d, nA=nA, nB=nB, keyX=keyX, keyY=keyY)
+    d, *shape = (int(v) for v in lines[0][1:].split())
+    s = Scenario(d=d)
+    nA, nB = s.nA, s.nB
+    if shape != [nA, nB, s.keyX, s.keyY]:
+        raise ValueError(f"header shape {' '.join(map(str, shape))} is not the protocol's "
+                         f"`{nA} {nB} {s.keyX} {s.keyY}`")
     p = np.zeros((d, d, nA, nB))
     seen = np.zeros(p.shape, dtype=bool)
     for ln in lines[1:]:

@@ -261,6 +261,18 @@ def test_check_local_checks_strategy_cap_before_building_table(monkeypatch, caps
     assert "1048576 strategies exceed the cap of 1000000" in err
 
 
+def test_memory_error_is_numerical_failure(monkeypatch, capsys):
+    # HiGHS reports an exhausted allocator as MemoryError('std::bad_alloc')
+    def exhausted(t):
+        raise MemoryError("std::bad_alloc")
+
+    monkeypatch.setattr(cli.polytope, "local_residual", exhausted)
+    code, out, err = run(["check-local", "--d", "3", "--vtilde", "0.7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "numerical failure: std::bad_alloc\n"
+
+
 def test_check_local_rejects_bad_visibility(capsys):
     code, _, err = run(["check-local", "--d", "3", "--vtilde", "1.5"], capsys)
     assert code == 1
@@ -324,6 +336,29 @@ def test_option_strings_are_pinned():
         "check-local": ["--d", "--help", "--vtilde", "-h"],
         "asymptotic": ["--help", "-h"],
     }
+
+
+def test_package_exports_are_pinned():
+    """The re-exported names; a new public name needs a deliberate edit here."""
+    names = sorted(name for name, value in vars(diqkd_cc).items()
+                   if not name.startswith("_") and not isinstance(value, type(diqkd_cc)))
+    assert names == [
+        "ANALYTIC_MAX_ENTANGLED", "BRANCHES", "BellOperatorMatrix", "BracketError", "CATALAN",
+        "CcDecomposition", "CorrelationTable", "CriticalVisibility", "DecompositionInfeasible",
+        "DeterministicStrategy", "KeyRatePoint", "LOCAL_BOUND", "LP_CGLMP_STATE",
+        "LP_MAX_ENTANGLED", "MeasurementBasis", "PureState", "STRATEGY_CAP", "Scenario",
+        "StrategyCapExceeded", "ValidationReport", "cglmp_bell_operator", "cglmp_born_table",
+        "cglmp_coefficients", "cglmp_state", "cglmp_value", "critical_visibility",
+        "ec_term_general", "ec_term_isotropic", "enumerate_strategies", "fourier_basis",
+        "idmax_asymptotic", "idmax_closed_form", "is_local", "k_shift_probability",
+        "keyrate_curve", "keyrate_point", "local_residual", "local_visibility",
+        "local_visibility_max_entangled", "marginal", "max_eigenpair", "max_local_weight",
+        "maximally_entangled_state", "mix_with_white_noise", "pa_term_cc", "rub_asymptotic",
+        "schmidt_coefficients", "shannon_base_d", "strategy_from_id", "strategy_id",
+        "strategy_table", "table_from_text", "table_to_text", "uniform_table", "validate",
+        "vcrit_asymptotic",
+    ]
+    assert len(names) == 56
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -10,16 +10,10 @@ from diqkd_cc import (
     BellOperatorMatrix,
     MeasurementBasis,
     PureState,
-    Scenario,
-    bell_operator,
-    born_table,
     cglmp_bell_operator,
     cglmp_born_table,
-    cglmp_coefficients,
-    cglmp_optimal_phases,
     cglmp_state,
     cglmp_value,
-    default_scenario,
     fourier_basis,
     idmax_closed_form,
     max_eigenpair,
@@ -81,16 +75,22 @@ def test_maximally_entangled_state(d):
 # ------------------------------------------------------------- Born tables
 
 def test_optimal_phase_layout():
-    alice, bob = cglmp_optimal_phases(default_scenario(3))
-    assert alice == CGLMP_ALICE_PHASES
-    assert bob[:2] == CGLMP_BOB_PHASES
-    # Bob's key setting reuses Alice's key phase so outcomes correlate exactly
-    assert bob[2] == alice[1]
-
-
-def test_optimal_phases_need_default_shape():
-    with pytest.raises(ValueError):
-        cglmp_optimal_phases(Scenario(d=2, nA=2, nB=2, keyX=2, keyY=2))
+    # Bell settings take the optimal phases; Bob's key setting reuses Alice's
+    # key phase so outcomes correlate exactly
+    d = 3
+    alice = CGLMP_ALICE_PHASES
+    bob = CGLMP_BOB_PHASES + (alice[1],)
+    rng = np.random.default_rng(7)
+    amp = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+    state = PureState(d=d, amplitudes=amp / np.linalg.norm(amp))
+    t = cglmp_born_table(state)
+    Psi = state.amplitudes.reshape(d, d)
+    for x, alpha in enumerate(alice):
+        for y, beta in enumerate(bob):
+            Va = fourier_basis(d, alpha).vectors
+            Vb = fourier_basis(d, beta, conjugate=True).vectors
+            expected = np.abs(np.einsum("aq,qr,br->ab", Va.conj(), Psi, Vb.conj())) ** 2
+            assert np.allclose(t.p[:, :, x, y], expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -132,12 +132,13 @@ def test_value_invariant_under_joint_relabeling():
 
 
 def test_born_table_argument_checks():
+    # the phases and the scenario are fixed; only the state can be passed
     state = maximally_entangled_state(3)
-    s = default_scenario(3)
-    with pytest.raises(ValueError, match="phase lists"):
-        born_table(state, (0.0,), (0.25, -0.25, -0.5), s)
-    with pytest.raises(ValueError, match="dimension"):
-        born_table(maximally_entangled_state(2), (0.0, -0.5), (0.25, -0.25, -0.5), s)
+    with pytest.raises(TypeError):
+        cglmp_born_table(state, (0.0, -0.5), (0.25, -0.25, -0.5))
+    with pytest.raises(TypeError):
+        cglmp_born_table(state, scenario=None)
+    assert cglmp_born_table(state).p.shape == (3, 3, 2, 3)
 
 
 # ---------------------------------------------------------- Bell operators
@@ -146,16 +147,11 @@ def test_bell_operator_is_hermitian():
     assert np.allclose(OP3.matrix, OP3.matrix.conj().T, atol=1e-12)
 
 
-def test_bell_operator_rejects_complex_coefficients():
-    c = cglmp_coefficients(2).astype(complex)
-    c[0, 0, 0, 0] += 1j
-    with pytest.raises(ValueError, match="real"):
-        bell_operator(c, CGLMP_ALICE_PHASES, CGLMP_BOB_PHASES, 2)
-
-
 def test_bell_operator_phase_list_checked():
-    with pytest.raises(ValueError):
-        bell_operator(cglmp_coefficients(2), (0.0,), CGLMP_BOB_PHASES, 2)
+    # the phases are fixed; only d can be passed
+    with pytest.raises(TypeError):
+        cglmp_bell_operator(2, CGLMP_ALICE_PHASES, CGLMP_BOB_PHASES)
+    assert OP3.matrix.shape == (9, 9)
 
 
 def test_hermiticity_validation():

@@ -1,5 +1,7 @@
 """Correlation-table container: validation, noise mixing, outcome-shift
 statistics, marginals, and the text round-trip."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -40,17 +42,24 @@ def test_scenario_defaults():
     assert s.n_strategies == 3 ** 5
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(d=1),
-    dict(d=2, nA=1),
-    dict(d=2, nB=1),
-    dict(d=2, keyX=0),
-    dict(d=2, keyX=3),
-    dict(d=2, keyY=4),
-])
-def test_scenario_rejects_bad_shapes(kwargs):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("kwargs,error", [
+    (dict(d=1), ValueError),
+    (dict(d=2, nA=1), TypeError),
+    (dict(d=2, nB=1), TypeError),
+    (dict(d=2, keyX=0), TypeError),
+    (dict(d=2, keyX=3), TypeError),
+    (dict(d=2, keyY=4), TypeError),
+], ids=[f"kwargs{i}" for i in range(6)])
+def test_scenario_rejects_bad_shapes(kwargs, error):
+    # d is range-checked; the shape is fixed, so no shape argument can be passed
+    with pytest.raises(error):
         Scenario(**kwargs)
+
+
+def test_scenario_field_is_only_d():
+    assert [f.name for f in dataclasses.fields(Scenario)] == ["d"]
+    with pytest.raises(TypeError):
+        Scenario(d=2, nA=3)
 
 
 def test_table_shape_checked():
@@ -225,9 +234,9 @@ def test_text_round_trip_exactish():
     assert np.allclose(back.p, ME3.p, rtol=0, atol=1e-14)
 
 
-@given(st.integers(0, 2**32 - 1))
-def test_text_round_trip_random_tables(seed):
-    t = _product_table(seed, d=3)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_text_round_trip_random_tables(d, seed):
+    t = _product_table(seed, d=d)
     back = table_from_text(table_to_text(t))
     assert np.allclose(back.p, t.p, rtol=0, atol=1e-14)
 
@@ -237,13 +246,11 @@ def test_text_requires_header():
         table_from_text("1 1 1 1 0.25\n")
 
 
-@given(st.integers(2, 4), st.integers(2, 3), st.integers(2, 4), st.integers(0, 2**32 - 1))
-def test_text_round_trip_any_shape(d, nA, nB, seed):
-    s = Scenario(d=d, nA=nA, nB=nB, keyX=nA, keyY=nB)
-    t = CorrelationTable(s, np.random.default_rng(seed).random((d, d, nA, nB)))
-    back = table_from_text(table_to_text(t))
-    assert back.scenario == s
-    assert np.allclose(back.p, t.p, rtol=1e-14, atol=0)
+def test_text_rejects_other_shapes():
+    rows = "".join(f"{x} {y} {a} {b} 0.25\n"
+                   for x in (1, 2) for y in (1, 2) for a in (1, 2) for b in (1, 2))
+    with pytest.raises(ValueError, match="`2 3 2 3`"):
+        table_from_text("# 2 2 2 2 2\n" + rows)
 
 
 def _edit_rows(edit):
