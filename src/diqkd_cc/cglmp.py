@@ -3,11 +3,11 @@ maximum on the maximally entangled state, and the d->infinity constants.
 """
 from __future__ import annotations
 
-from math import pi, sin
+from math import pi
 
 import numpy as np
 
-from .scenario import CorrelationTable, k_shift_probability
+from .scenario import CorrelationTable, _check_dimension, k_shift_probability
 
 #: Local-hidden-variable bound of the CGLMP expression.
 LOCAL_BOUND = 2.0
@@ -73,21 +73,22 @@ def cglmp_coefficients(d: int) -> np.ndarray:
     return c
 
 
-def _f(d: int, k: float) -> float:
-    return 1.0 / (2.0 * d**3 * sin(pi * (k + 0.25) / d) ** 2)
-
-
 def idmax_closed_form(d: int) -> float:
     """Maximal I_d on the maximally entangled state, in closed form:
     4d * sum_{k=0}^{[d/2]-1} (1 - 2k/(d-1)) (f_d(k) - f_d(-(k+1))),
     f_d(k) = 1 / (2 d^3 sin^2[pi (k + 1/4) / d]).
+
+    The terms are one numpy expression over k; they are added in index order
+    by the builtin sum, as a loop over k would add them.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    return 4.0 * d * sum(
-        (1.0 - 2.0 * k / (d - 1)) * (_f(d, k) - _f(d, -(k + 1)))
-        for k in range(d // 2)
-    )
+    d = _check_dimension(d)
+
+    def f(k: np.ndarray) -> np.ndarray:
+        return 1.0 / (2.0 * d**3 * np.sin(pi * (k + 0.25) / d) ** 2)
+
+    k = np.arange(d // 2)
+    terms = (1.0 - 2.0 * k / (d - 1)) * (f(k) - f(-(k + 1)))
+    return 4.0 * d * sum(terms.tolist())
 
 
 def idmax_asymptotic() -> float:

@@ -14,7 +14,8 @@ import numpy as np
 from .cglmp import CATALAN, local_visibility_max_entangled
 from .polytope import check_strategy_cap, max_local_visibility
 from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
-from .scenario import CorrelationTable, Scenario, marginal, mix_with_white_noise
+from .scenario import (CorrelationTable, Scenario, _check_dimension, marginal,
+                       mix_with_white_noise)
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
@@ -58,6 +59,7 @@ def _log_d(value: float, d: int) -> float:
 
 def shannon_base_d(p, d: int) -> float:
     """Shannon entropy in base-d units with 0 log 0 := 0."""
+    d = _check_dimension(d)
     total = 0.0
     for v in np.asarray(p, dtype=float).ravel():
         if v > ZERO_PROBABILITY:
@@ -68,15 +70,17 @@ def shannon_base_d(p, d: int) -> float:
 def ec_term_isotropic(d: int, V: float) -> float:
     """H(A|B) at the key settings for the white-noise-mixed perfectly
     correlated table: 1 - [(1+(d-1)V)/d] log_d(1+(d-1)V) - [(d-1)(1-V)/d] log_d(1-V)."""
+    d = _check_dimension(d)
     if not 0.0 <= V <= 1.0:
         raise ValueError(f"visibility must lie in [0,1], got {V}")
+    ln_d = log(d)
     out = 1.0
     big = 1.0 + (d - 1) * V
     small = 1.0 - V
     if big > ZERO_PROBABILITY:
-        out -= big / d * _log_d(big, d)
+        out -= big / d * (log(big) / ln_d)
     if small > ZERO_PROBABILITY:
-        out -= (d - 1) * small / d * _log_d(small, d)
+        out -= (d - 1) * small / d * (log(small) / ln_d)
     return out
 
 
@@ -134,15 +138,8 @@ def local_visibility(d: int, branch: str) -> float:
     return max_local_visibility(nonlocal_table(d, branch))
 
 
-def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
-    """r_ub = pa - ec at visibility V.
-
-    The mixed table lies on the segment from white noise to the ideal table,
-    where Eve's maximal local weight is qL = min(1, (1-V)/(1-V_L)). The
-    analytic branch takes pa = 1 - qL and the isotropic EC term; the LP
-    branches take pa from the ideal table's key marginal and ec from the
-    mixed table.
-    """
+def _rate_terms(d: int, V: float, branch: str) -> tuple[float, float, float]:
+    """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point."""
     if not 0.0 <= V <= 1.0:
         raise ValueError(f"visibility must lie in [0,1], got {V}")
     VL = local_visibility(d, branch)
@@ -154,6 +151,19 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
         pNL = nonlocal_table(d, branch)
         pa = pa_term_cc(qL, marginal(pNL, "A", pNL.scenario.keyX))
         ec = ec_term_general(mix_with_white_noise(pNL, V))
+    return qL, pa, ec
+
+
+def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
+    """r_ub = pa - ec at visibility V.
+
+    The mixed table lies on the segment from white noise to the ideal table,
+    where Eve's maximal local weight is qL = min(1, (1-V)/(1-V_L)). The
+    analytic branch takes pa = 1 - qL and the isotropic EC term; the LP
+    branches take pa from the ideal table's key marginal and ec from the
+    mixed table.
+    """
+    qL, pa, ec = _rate_terms(d, V, branch)
     return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
 
 
@@ -175,7 +185,8 @@ def critical_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED) -> Critica
     """Root of r_ub(V) on [V_L, 1], located by bisection (width 1e-8);
     r_ub is monotone and changes sign on that bracket."""
     def f(V: float) -> float:
-        return keyrate_point(d, V, branch).r_ub
+        _, pa, ec = _rate_terms(d, V, branch)
+        return pa - ec
 
     v = _bisect(f, local_visibility(d, branch), 1.0)
     return CriticalVisibility(d=d, branch=branch, v_crit=v, residual=f(v))

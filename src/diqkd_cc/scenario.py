@@ -6,6 +6,7 @@ joint conditional probabilities p(a,b|x,y) with shape (d, d, nA, nB).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -16,6 +17,18 @@ NORMALIZATION_TOL = 1e-9
 NO_SIGNALING_TOL = 1e-9
 # marginal() refuses tables whose marginals actually depend on the far setting
 MARGINAL_NO_SIGNALING_TOL = 1e-6
+
+
+def _check_dimension(d) -> int:
+    """d as a Python int: TypeError unless it is integral (NumPy integers
+    included), ValueError unless d >= 2."""
+    try:
+        d = operator.index(d)
+    except TypeError:
+        raise TypeError(f"d must be an integer, got {d!r}") from None
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -30,8 +43,7 @@ class Scenario:
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", _check_dimension(self.d))
 
     @property
     def n_strategies(self) -> int:

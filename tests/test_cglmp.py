@@ -1,6 +1,6 @@
 """Bell expression: value/coefficient agreement, local bound on deterministic
 points, the closed-form maximum, and the d->infinity constants."""
-from math import pi, sqrt
+from math import fsum, pi, sin, sqrt
 
 import numpy as np
 import pytest
@@ -76,6 +76,34 @@ def test_closed_form_increasing_and_bounded():
 def test_closed_form_rejects_d1():
     with pytest.raises(ValueError):
         idmax_closed_form(1)
+
+
+def test_closed_form_requires_integral_d():
+    for d in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="integer"):
+            idmax_closed_form(d)
+    for d in (0, -4):
+        with pytest.raises(ValueError, match=">= 2"):
+            idmax_closed_form(d)
+    assert idmax_closed_form(np.int64(5)) == idmax_closed_form(5)
+
+
+def _idmax_reference(d: int) -> float:
+    """The same series, term by term in scalar math, summed exactly by fsum."""
+    def f(k: int) -> float:
+        return 1.0 / (2.0 * d**3 * sin(pi * (k + 0.25) / d) ** 2)
+
+    return 4.0 * d * fsum((1.0 - 2.0 * k / (d - 1)) * (f(k) - f(-(k + 1)))
+                          for k in range(d // 2))
+
+
+def test_closed_form_matches_fsum_reference():
+    for d in [*range(2, 201), 939, 1000]:
+        assert idmax_closed_form(d) == pytest.approx(_idmax_reference(d), rel=1e-14), d
+    # the closed form adds its d/2 terms in index order, one rounding each,
+    # so at d = 10^5 it is held to the sequential-sum bound (d/2) * 2^-53
+    d = 10**5
+    assert idmax_closed_form(d) == pytest.approx(_idmax_reference(d), rel=(d // 2) * 2.0**-53)
 
 
 def test_asymptotic_value():

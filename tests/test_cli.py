@@ -1,5 +1,6 @@
 """Command-line interface: output contracts, file formats, exit codes."""
 import argparse
+import hashlib
 import os
 import subprocess
 import sys
@@ -90,6 +91,14 @@ def test_table_writes_file_identically(tmp_path, capsys):
                        "--out", str(target)], capsys)
     assert code2 == 0
     assert target.read_text() == out
+
+
+def test_table_analytic_sweep_is_pinned(capsys):
+    # closed-form column for d = 2..1000, byte for byte
+    code, out, err = run(["table", "--state", "max", "--d-min", "2", "--d-max", "1000"], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e82c5b21f980cb75883a8dc9b6bc9387433cb8a9e59deba0a0cf1fbb77b3850e")
 
 
 def test_table_rejects_bad_range(capsys):

@@ -56,6 +56,15 @@ def test_shannon_matches_direct_formula():
     assert shannon_base_d(p, 3) == pytest.approx(expected, abs=1e-12)
 
 
+def test_shannon_requires_integral_d():
+    p = [0.5, 0.5]
+    with pytest.raises(TypeError, match="integer"):
+        shannon_base_d(p, 2.5)
+    with pytest.raises(ValueError, match=">= 2"):
+        shannon_base_d(p, 1)
+    assert shannon_base_d(p, np.int64(2)) == shannon_base_d(p, 2) == 1.0
+
+
 def test_ec_isotropic_endpoints():
     for d in (2, 3, 7):
         assert ec_term_isotropic(d, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -73,6 +82,17 @@ def test_ec_isotropic_d2_reference_point():
 def test_ec_isotropic_range_checked():
     with pytest.raises(ValueError):
         ec_term_isotropic(3, 1.0001)
+
+
+def test_ec_isotropic_requires_integral_d():
+    with pytest.raises(TypeError, match="integer"):
+        ec_term_isotropic(2.5, 0.5)
+    with pytest.raises(ValueError, match=">= 2"):
+        ec_term_isotropic(1, 0.5)
+    assert ec_term_isotropic(np.int64(3), 0.5) == ec_term_isotropic(3, 0.5)
+    # nor does a non-integral d get through the analytic branch
+    with pytest.raises(TypeError, match="integer"):
+        keyrate_point(2.5, 0.9, ANALYTIC_MAX_ENTANGLED)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -235,6 +255,14 @@ def test_critical_visibility_lp_agrees_with_analytic():
 def test_critical_visibility_tuned_state_d3():
     res = critical_visibility(3, LP_CGLMP_STATE)
     assert res.v_crit == pytest.approx(0.82101, abs=5e-5)
+
+
+@pytest.mark.parametrize("branch", [ANALYTIC_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_critical_visibility_residual_is_keyrate_point_r_ub(d, branch):
+    # the bisection and the public record evaluate one rate formula
+    res = critical_visibility(d, branch)
+    assert res.residual == keyrate_point(d, res.v_crit, branch).r_ub
 
 
 def test_strategy_cap_checked_before_tuned_state_is_built(monkeypatch):

@@ -56,6 +56,17 @@ def test_scenario_rejects_bad_shapes(kwargs, error):
         Scenario(**kwargs)
 
 
+def test_scenario_requires_integral_d():
+    for d in (2.5, 3.0, None):
+        with pytest.raises(TypeError, match="integer"):
+            Scenario(d)
+    for d in (0, -2):
+        with pytest.raises(ValueError, match=">= 2"):
+            Scenario(d)
+    s = Scenario(np.int64(3))
+    assert s == Scenario(3) and type(s.d) is int
+
+
 def test_scenario_field_is_only_d():
     assert [f.name for f in dataclasses.fields(Scenario)] == ["d"]
     with pytest.raises(TypeError):
