@@ -14,8 +14,7 @@ import numpy as np
 from .cglmp import CATALAN, local_visibility_max_entangled
 from .polytope import check_strategy_cap, max_local_visibility
 from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
-from .scenario import (CorrelationTable, Scenario, _check_dimension, marginal,
-                       mix_with_white_noise)
+from .scenario import CorrelationTable, Scenario, _check_dimension, marginal
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
@@ -90,16 +89,21 @@ def ec_term_general(t: CorrelationTable) -> float:
     Zero Bob-marginal cells contribute nothing.
     """
     s = t.scenario
-    joint = t.p[:, :, s.keyX - 1, s.keyY - 1]
+    return _conditional_entropy(t.p[:, :, s.keyX - 1, s.keyY - 1])
+
+
+def _conditional_entropy(joint: np.ndarray) -> float:
+    """H(A|B) of a d x d joint p(a, b), base-d; see ec_term_general."""
+    d = joint.shape[0]
     pB = joint.sum(axis=0)
     total = 0.0
-    for b in range(s.d):
+    for b in range(d):
         if pB[b] <= ZERO_PROBABILITY:
             continue
-        for a in range(s.d):
+        for a in range(d):
             pab = joint[a, b]
             if pab > ZERO_PROBABILITY:
-                total -= pab * _log_d(pab / pB[b], s.d)
+                total -= pab * _log_d(pab / pB[b], d)
     return total
 
 
@@ -124,12 +128,21 @@ def nonlocal_table(d: int, branch: str) -> CorrelationTable:
 
 
 @lru_cache(maxsize=32)
+def _key_marginal_entropy(d: int, branch: str) -> float:
+    """H_d of Alice's key-setting marginal of the branch's ideal table."""
+    pNL = nonlocal_table(d, branch)
+    return shannon_base_d(marginal(pNL, "A", pNL.scenario.keyX), d)
+
+
+@lru_cache(maxsize=32)
 def local_visibility(d: int, branch: str) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local.
 
-    Analytic branch: 2/I_d^max. LP branches: one LP over the d^4 shift
-    classes of the local polytope, solved once per (d, branch) and cached. The
-    class cap is checked before the branch's state is built, since the
+    Analytic branch: 2/I_d^max. LP branches: one visibility LP over Alice's
+    outcome pairs (max_local_visibility; Fine, PRL 48, 291 (1982)), which on
+    the shift-invariant ideal table has 3d^2 + 1 columns and 8d + 1 rows,
+    solved once per (d, branch) and cached. The shift-class cap enumerates
+    nothing here: it bounds d before the branch's state is built, since the
     tuned-state eigensolve alone grows as d^6.
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
@@ -148,9 +161,12 @@ def _rate_terms(d: int, V: float, branch: str) -> tuple[float, float, float]:
         pa = 1.0 - qL
         ec = ec_term_isotropic(d, V)
     else:
-        pNL = nonlocal_table(d, branch)
-        pa = pa_term_cc(qL, marginal(pNL, "A", pNL.scenario.keyX))
-        ec = ec_term_general(mix_with_white_noise(pNL, V))
+        # pa_term_cc and ec_term_general(mix_with_white_noise(pNL, V)), with
+        # the same float operations: 1 - qL is already in [0, 1], and only
+        # the key slice of the mixed table is formed
+        key = nonlocal_table(d, branch).p[:, :, Scenario.keyX - 1, Scenario.keyY - 1]
+        pa = (1.0 - qL) * _key_marginal_entropy(d, branch)
+        ec = _conditional_entropy(V * key + (1.0 - V) / d**2)
     return qL, pa, ec
 
 

@@ -1,11 +1,16 @@
 """Local deterministic strategies and the two local-polytope LPs: the
-convex-combination attack (Eve's maximal local weight at one observed table)
-and the white-noise visibility of a table (V_L, membership and its slack).
+convex-combination attack (Eve's maximal local weight at one observed table,
+over all d^5 strategies) and the white-noise visibility of a table (V_L,
+membership and its slack).
 
-The visibility LP of a table that depends on the outcomes only through
-b - a mod d is solved on its difference distribution over the d^4 strategy
-classes of the joint outcome shift (a, b) -> (a+k, b+k) (Rosset, Bancal &
-Gisin, arXiv:1404.1306); any other table keeps all d^5 strategies.
+The visibility LP enumerates no strategy. Alice has two settings, so a local
+model may take her outcome pair lambda = (a1, a2) as its hidden variable and
+let Bob answer each setting y from his own conditional: the per-setting joints
+J_y(a1, a2, b) need only agree on their (a1, a2) marginal (Fine, PRL 48, 291
+(1982)). That is 3d^3 columns and 8d^2 + 1 rows. A table that depends on the
+outcomes only through b - a mod d is solved on its difference distribution
+with a1 fixed at 0 by the joint outcome shift (a, b) -> (a+k, b+k) (Rosset,
+Bancal & Gisin, arXiv:1404.1306): 3d^2 columns and 8d + 1 rows.
 """
 from __future__ import annotations
 
@@ -19,8 +24,11 @@ from scipy.optimize import linprog
 
 from .scenario import CorrelationTable, Scenario
 
-#: Refuse to enumerate more deterministic strategies (or, for the shift-class
-#: LP, more shift classes: one strategy per class) than this.
+#: Refuse to enumerate more deterministic strategies (or, counted with
+#: shift_classes, more shift classes: one strategy per class) than this. The
+#: visibility LP enumerates neither; on the LP branches and in check-local the
+#: class count only bounds d before the d^2 x d^2 tuned-state eigensolve or
+#: the Born table is built.
 STRATEGY_CAP = 10**6
 
 #: Per-constraint feasibility tolerance for all LP solves.
@@ -82,8 +90,10 @@ def strategy_from_id(ident: int, scenario: Scenario) -> DeterministicStrategy:
 
 
 def check_strategy_cap(scenario: Scenario, shift_classes: bool = False) -> None:
-    """Raise StrategyCapExceeded if an LP would enumerate more than STRATEGY_CAP
-    strategies: all d^(nA+nB), or d^(nA+nB-1) shift classes."""
+    """Raise StrategyCapExceeded if there are more than STRATEGY_CAP
+    strategies: all d^(nA+nB), or with shift_classes the d^(nA+nB-1) shift
+    classes. Only max_local_weight and enumerate_strategies enumerate
+    strategies; the shift-class count just bounds d (see STRATEGY_CAP)."""
     n = scenario.n_strategies // scenario.d if shift_classes else scenario.n_strategies
     if n > STRATEGY_CAP:
         raise StrategyCapExceeded(f"{n} strategies exceed the cap of {STRATEGY_CAP}")
@@ -124,18 +134,14 @@ def _difference_vector(t: CorrelationTable) -> np.ndarray | None:
 
 
 @lru_cache(maxsize=8)
-def _strategy_matrix(scenario: Scenario, shift_classes: bool) -> sp.csc_array:
-    """Sparse (d^2 nA nB) x N matrix whose columns are the strategy tables.
-
-    With shift_classes, the columns are the ids below d^(nA+nB-1) (Alice's
-    first output 1: one strategy per shift class) and the rows the d nA nB
-    differences ((b-a) mod d, x, y). Built digit-wise over all ids at once; each column has exactly nA*nB
-    nonzeros, so nothing dense is ever materialized.
+def _strategy_matrix(scenario: Scenario) -> sp.csc_array:
+    """Sparse (d^2 nA nB) x d^(nA+nB) matrix whose columns are the strategy
+    tables. Built digit-wise over all ids at once; each column has exactly
+    nA*nB nonzeros, so nothing dense is ever materialized.
     """
-    check_strategy_cap(scenario, shift_classes)
+    check_strategy_cap(scenario)
     s = scenario
-    n = s.n_strategies // s.d if shift_classes else s.n_strategies
-    ids = np.arange(n)
+    ids = np.arange(s.n_strategies)
     n_digits = s.nA + s.nB
     digits = [(ids // s.d ** (n_digits - 1 - j)) % s.d for j in range(n_digits)]
     rows, cols = [], []
@@ -143,14 +149,43 @@ def _strategy_matrix(scenario: Scenario, shift_classes: bool) -> sp.csc_array:
         for y in range(s.nB):
             a = digits[x]
             b = digits[s.nA + y]
-            outcome = (b - a) % s.d if shift_classes else a * s.d + b
-            rows.append((outcome * s.nA + x) * s.nB + y)
+            rows.append(((a * s.d + b) * s.nA + x) * s.nB + y)
             cols.append(ids)
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    n_outcomes = s.d if shift_classes else s.d**2
     return sp.csc_array((np.ones(rows.size), (rows, cols)),
-                        shape=(n_outcomes * s.nA * s.nB, n))
+                        shape=(s.d**2 * s.nA * s.nB, s.n_strategies))
+
+
+def _response_matrix(d: int, shift: bool) -> sp.csc_array:
+    """Observation and consistency rows of the visibility LP over the columns
+    J_y(a1, a2, b), in (y, a1, a2, b) order; with shift, a1 = 0 only.
+
+    The observation rows come first, in the row order of _table_vector (with
+    shift, of _difference_vector): column (y, a1, a2, b) adds 1 at outcomes
+    (a_x, b) (with shift, at b - a_x mod d) for x = 1, 2. Then, at each
+    (a1, a2), sum_b J_1 - sum_b J_y = 0 for y = 2, then y = 3.
+    """
+    nA, nB = Scenario.nA, Scenario.nB
+    n_pairs = (1 if shift else d) * d
+    pair = np.repeat(np.arange(n_pairs), d)
+    b = np.tile(np.arange(d), n_pairs)
+    n_obs = n_pairs * nA * nB
+    n_col = pair.size
+    rows, cols, vals = [], [], []
+    for y in range(nB):
+        col = y * n_col + np.arange(n_col)
+        for x, a in enumerate((pair // d, pair % d)):
+            outcome = (b - a) % d if shift else a * d + b
+            rows.append((outcome * nA + x) * nB + y)
+            cols.append(col)
+            vals.append(np.ones(n_col))
+        if y:
+            rows += [n_obs + (y - 1) * n_pairs + pair] * 2
+            cols += [np.arange(n_col), col]
+            vals += [np.ones(n_col), -np.ones(n_col)]
+    return sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n_obs + 2 * n_pairs, nB * n_col))
 
 
 @dataclass(frozen=True)
@@ -179,7 +214,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable) -> CcDec
     if observed.scenario != pNL.scenario:
         raise ValueError("observed and nonlocal tables use different scenarios")
     scenario = observed.scenario
-    S = _strategy_matrix(scenario, False)
+    S = _strategy_matrix(scenario)
     n = S.shape[1]
     nl_col = sp.csc_array(_table_vector(pNL).reshape(-1, 1))
     A_eq = sp.vstack([sp.hstack([S, nl_col]), np.ones((1, n + 1))], format="csc")
@@ -207,39 +242,54 @@ def max_local_visibility(t: CorrelationTable, pNL: CorrelationTable | None = Non
     minus the least white-noise weight that makes t local (optionally
     allowing a nonlocal column pNL in the hull).
 
-    Solve: maximize V over q >= 0, 0 <= V <= 1 with
-    sum_i q_i p_i(a,b|x,y) - V (t - u)(a,b|x,y) = u(a,b|x,y) for all
-    (a,b,x,y) and sum q = 1 (q includes the pNL weight when given). For an
-    ideal table t this is V_L, which fixes the maximal local weight on the
-    segment from u to t: qL(V) = min(1, (1-V)/(1-V_L)).
+    Solve: maximize V over J >= 0 (plus the pNL weight), 0 <= V <= 1, where
+    J_y(a1, a2, b) is the joint of Alice's outcome pair and Bob's outcome at
+    setting y (Fine, PRL 48, 291 (1982)): its (a_x, b) marginal plus the pNL
+    column reproduces V t + (1-V) u at each (x, y), sum_b J_y is the same for
+    y = 1, 2, 3, and sum J_1 + qNL = 1. That is 8d^2 + 1 rows and 3d^3 + 1
+    columns (one more with pNL). For an ideal table t this is V_L, which fixes
+    the maximal local weight on the segment from u to t:
+    qL(V) = min(1, (1-V)/(1-V_L)).
 
     If t (and pNL) are shift-invariant, the same LP is solved exactly on
-    their difference distributions D over the strategy classes, with u = 1/d.
+    their difference distributions D with a1 = 0 and u = 1/d: 8d + 1 rows and
+    3d^2 + 1 columns. Raises ValueError for tables of different scenarios or
+    with a non-finite entry.
     """
-    scenario = t.scenario
     tables = [t] if pNL is None else [t, pNL]
+    if pNL is not None and pNL.scenario != t.scenario:
+        raise ValueError("observed and nonlocal tables use different scenarios")
+    if not all(np.isfinite(x.p).all() for x in tables):
+        raise ValueError("table has a non-finite entry")
+    d = t.scenario.d
     vectors = [_difference_vector(x) for x in tables]
-    shift_classes = all(v is not None for v in vectors)
-    if not shift_classes:
+    shift = all(v is not None for v in vectors)
+    if not shift:
         vectors = [_table_vector(x) for x in tables]
-    S = _strategy_matrix(scenario, shift_classes)
-    if pNL is not None:
-        S = sp.hstack([S, sp.csc_array(vectors[1].reshape(-1, 1))], format="csc")
-    n = S.shape[1]
-    u = np.full(S.shape[0], 1.0 / (scenario.d if shift_classes else scenario.d**2))
-    v_col = sp.csc_array((u - vectors[0]).reshape(-1, 1))
-    total = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
-    A_eq = sp.vstack([sp.hstack([S, v_col]), total], format="csc")
-    b_eq = np.concatenate([u, [1.0]])
-    cost = np.concatenate([np.zeros(n), [-1.0]])
-    bounds = np.zeros((n + 1, 2))
+    J = _response_matrix(d, shift)
+    n_obs = vectors[0].size
+    n_J = J.shape[1]
+    u = np.full(n_obs, 1.0 / (d if shift else d**2))
+    extra = np.zeros((J.shape[0], len(tables)))
+    extra[:n_obs] = np.column_stack(vectors[1:] + [u - vectors[0]])
+    n = n_J + len(tables)
+    total = np.zeros((1, n))
+    total[0, :n_J // Scenario.nB] = 1.0
+    total[0, n_J:n - 1] = 1.0
+    A_eq = sp.vstack([sp.hstack([J, sp.csc_array(extra)]), total], format="csc")
+    b_eq = np.zeros(A_eq.shape[0])
+    b_eq[:n_obs] = u
+    b_eq[-1] = 1.0
+    cost = np.zeros(n)
+    cost[-1] = -1.0
+    bounds = np.zeros((n, 2))
     bounds[:, 1] = np.inf
-    bounds[n, 1] = 1.0
+    bounds[-1, 1] = 1.0
     res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs", options=_LINPROG_OPTIONS)
     if not res.success:
         raise RuntimeError(f"local-visibility LP failed: {res.message}")
-    return float(res.x[n])
+    return float(res.x[-1])
 
 
 def local_residual(t: CorrelationTable,

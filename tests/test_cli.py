@@ -382,7 +382,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 @pytest.fixture
 def lp_counter(monkeypatch):
-    """Count linprog calls from a cold start of every cache on the LP path."""
+    """Record the A_eq shape of every linprog call from a cold start of every
+    cache on the LP path."""
     keyrate.local_visibility.cache_clear()
     keyrate.nonlocal_table.cache_clear()
     polytope._strategy_matrix.cache_clear()
@@ -390,7 +391,7 @@ def lp_counter(monkeypatch):
     solve = polytope.linprog
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs["A_eq"].shape)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(polytope, "linprog", counted)
@@ -411,6 +412,17 @@ def test_curve_tuned_state_solves_one_lp(lp_counter, tmp_path, capsys):
     assert code == 0
     assert len(target.read_text().strip().splitlines()) == 42
     assert len(lp_counter) == 1
+
+
+def test_production_visibility_lp_enumerates_no_strategy(lp_counter, capsys):
+    # V_L and check-local solve the 8d + 1 row, 3d^2 + 1 column LP over
+    # Alice's outcome pairs; no strategy matrix is built
+    keyrate.local_visibility(10, keyrate.LP_CGLMP_STATE)
+    code, out, _ = run(["check-local", "--d", "10", "--vtilde", "0.69"], capsys)
+    assert code == 0
+    assert out.startswith("d=10 vtilde=0.69: nonlocal")
+    assert lp_counter == [(81, 301), (81, 301)]
+    assert polytope._strategy_matrix.cache_info().misses == 0
 
 
 def test_table_output_does_not_depend_on_optimize_flag(tmp_path):

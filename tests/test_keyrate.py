@@ -36,7 +36,7 @@ from diqkd_cc import (
 from diqkd_cc import keyrate
 from diqkd_cc.keyrate import _bisect, nonlocal_table
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
-from diqkd_cc.scenario import Scenario
+from diqkd_cc.scenario import Scenario, marginal
 
 
 # --------------------------------------------------------------- entropies
@@ -236,6 +236,19 @@ def test_closed_form_weight_matches_per_point_lp(d, branch):
     for V in (local_visibility(d, branch), 0.75, 0.85, 0.95, 1.0):
         oracle = max_local_weight(mix_with_white_noise(pNL, V), pNL).qL
         assert keyrate_point(d, V, branch).qL == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_lp_rate_terms_are_the_public_term_functions(d, branch):
+    # bit for bit: the cached marginal entropy and the mixed key slice give
+    # what pa_term_cc and ec_term_general give on the whole mixed table
+    pNL = nonlocal_table(d, branch)
+    alice_key = marginal(pNL, "A", pNL.scenario.keyX)
+    for V in np.linspace(0.6, 1.0, 41):
+        pt = keyrate_point(d, float(V), branch)
+        assert pt.pa_term == pa_term_cc(pt.qL, alice_key)
+        assert pt.ec_term == ec_term_general(mix_with_white_noise(pNL, float(V)))
 
 
 # ---------------------------------------------------- critical visibility

@@ -1,6 +1,7 @@
 """Deterministic strategies, local-polytope membership, and the local-weight LP."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,13 +219,34 @@ def lp_shapes(monkeypatch):
 
 
 def test_visibility_lp_runs_on_shift_classes(lp_shapes):
-    # 6d difference rows + the total-weight row; d^4 classes + the V column,
-    # + the pNL column when one is given
+    # 6d difference rows, 2d consistency rows and the total-weight row;
+    # 3d^2 response columns J_y(alpha, c) + the V column, + the pNL column
+    # when one is given
     keyrate.local_visibility.cache_clear()
     local_visibility(3, LP_CGLMP_STATE)
     pNL = nonlocal_table(3, LP_CGLMP_STATE)
     local_residual(mix_with_white_noise(pNL, 0.9), pNL=pNL)
-    assert lp_shapes == [(19, 82), (19, 83)]
+    assert lp_shapes == [(25, 28), (25, 29)]
+
+
+def _strategy_visibility(t: CorrelationTable, pNL: CorrelationTable | None = None) -> float:
+    """Oracle for max_local_visibility: the same LP over all d^5 strategy
+    columns, in the table's own coordinates."""
+    S = polytope._strategy_matrix(Scenario(t.scenario.d))
+    if pNL is not None:
+        S = sp.hstack([S, sp.csc_array(pNL.p.reshape(-1, 1))], format="csc")
+    n = S.shape[1]
+    u = np.full(S.shape[0], 1.0 / t.scenario.d**2)
+    v_col = sp.csc_array((u - t.p.reshape(-1)).reshape(-1, 1))
+    total = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
+    A_eq = sp.vstack([sp.hstack([S, v_col]), total], format="csc")
+    cost = np.zeros(n + 1)
+    cost[n] = -1.0
+    res = polytope.linprog(cost, A_eq=A_eq, b_eq=np.concatenate([u, [1.0]]),
+                           bounds=[(0, None)] * n + [(0, 1)], method="highs",
+                           options=polytope._LINPROG_OPTIONS)
+    assert res.success
+    return float(res.x[n])
 
 
 def _relabel_bob(t: CorrelationTable) -> CorrelationTable:
@@ -246,9 +268,78 @@ def test_relabelled_table_takes_full_lp_with_same_slack(d, branch, lp_shapes):
         lp_shapes.clear()
         reduced = local_residual(mixed)
         full = local_residual(_relabel_bob(mixed))
-        assert lp_shapes == [(6 * d + 1, d**4 + 1), (6 * d**2 + 1, d**5 + 1)]
+        assert lp_shapes == [(8 * d + 1, 3 * d**2 + 1), (8 * d**2 + 1, 3 * d**3 + 1)]
         assert full[0] == reduced[0]
         assert full[1] == pytest.approx(reduced[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("with_pnl", [False, True], ids=["no-pNL", "pNL"])
+@pytest.mark.parametrize("relabel", [False, True], ids=["invariant", "relabelled"])
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_visibility_matches_strategy_lp(d, branch, relabel, with_pnl):
+    # the nonlocal column is the other state's table at visibility 0.9, so the
+    # optimum lies strictly between V_L and 1
+    other = LP_CGLMP_STATE if branch == LP_MAX_ENTANGLED else LP_MAX_ENTANGLED
+    t = nonlocal_table(d, branch)
+    pNL = mix_with_white_noise(nonlocal_table(d, other), 0.9) if with_pnl else None
+    if relabel:
+        t = _relabel_bob(t)
+        pNL = None if pNL is None else _relabel_bob(pNL)
+    assert polytope.max_local_visibility(t, pNL) == pytest.approx(
+        _strategy_visibility(t, pNL), abs=1e-12)
+
+
+@pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_visibility_solution_is_a_strategy_mixture(d, branch, monkeypatch):
+    # primal certificate: the LP's J_y(alpha, c) define the class weights
+    # q(alpha, c1, c2, c3) = P(alpha) prod_y J_y(c_y | alpha); spread evenly
+    # over the d joint shifts of each class, they are a mixture of the d^5
+    # deterministic strategies that reproduces the table at V_L
+    solutions = []
+    solve = polytope.linprog
+
+    def recorded(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        solutions.append(res.x)
+        return res
+
+    monkeypatch.setattr(polytope, "linprog", recorded)
+    pNL = nonlocal_table(d, branch)
+    V_L = polytope.max_local_visibility(pNL)
+    (x,) = solutions
+    assert x.size == 3 * d**2 + 1 and x[-1] == V_L
+    J = np.clip(x[:-1], 0.0, None).reshape(3, d, d)  # J[y, alpha, c]
+    P = J[0].sum(axis=1)
+    cond = J / np.where(P > 0.0, P, 1.0)[None, :, None]
+    q = (P[:, None, None, None] * cond[0][:, :, None, None]
+         * cond[1][:, None, :, None] * cond[2][:, None, None, :])
+    k, alpha, c1, c2, c3 = np.ix_(*[np.arange(d)] * 5)
+    ids = ((((k * d + (alpha + k) % d) * d + (c1 + k) % d) * d + (c2 + k) % d) * d
+           + (c3 + k) % d)  # Alice outputs (k, alpha + k), Bob c_y + k
+    weights = np.empty(d**5)
+    weights[ids.ravel()] = np.broadcast_to(q / d, ids.shape).ravel()
+    assert weights.sum() == pytest.approx(1.0, abs=1e-9)
+    rebuilt = polytope._strategy_matrix(Scenario(d)) @ weights
+    target = mix_with_white_noise(pNL, V_L).p.reshape(-1)
+    assert np.max(np.abs(rebuilt - target)) <= 1e-9
+
+
+def test_visibility_rejects_tables_of_different_scenarios(lp_shapes):
+    with pytest.raises(ValueError, match="different scenarios"):
+        local_residual(ME2, pNL=ME3)
+    assert lp_shapes == []
+
+
+def test_visibility_rejects_non_finite_table(lp_shapes):
+    p = ME3.p.copy()
+    p[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        local_residual(CorrelationTable(ME3.scenario, p))
+    with pytest.raises(ValueError, match="non-finite"):
+        local_residual(ME3, pNL=CorrelationTable(ME3.scenario, p))
+    assert lp_shapes == []
 
 
 def test_nonlocal_column_restores_feasibility():
