@@ -3,7 +3,7 @@ maximum on the maximally entangled state, and the d->infinity constants.
 """
 from __future__ import annotations
 
-from math import pi
+from math import fsum, pi
 
 import numpy as np
 
@@ -78,8 +78,8 @@ def idmax_closed_form(d: int) -> float:
     4d * sum_{k=0}^{[d/2]-1} (1 - 2k/(d-1)) (f_d(k) - f_d(-(k+1))),
     f_d(k) = 1 / (2 d^3 sin^2[pi (k + 1/4) / d]).
 
-    The terms are one numpy expression over k; they are added in index order
-    by the builtin sum, as a loop over k would add them.
+    The terms are one numpy expression over k, added with math.fsum
+    (correctly rounded, so the sum's error does not grow with d).
     """
     d = _check_dimension(d)
 
@@ -88,7 +88,7 @@ def idmax_closed_form(d: int) -> float:
 
     k = np.arange(d // 2)
     terms = (1.0 - 2.0 * k / (d - 1)) * (f(k) - f(-(k + 1)))
-    return 4.0 * d * sum(terms.tolist())
+    return 4.0 * d * fsum(terms.tolist())
 
 
 def idmax_asymptotic() -> float:

@@ -66,11 +66,11 @@ def cmd_vcrit(args) -> int:
 
 
 def _vcrit_cell(d: int, branch: str, column: str) -> str:
-    """One table cell; an LP cell over the strategy cap is left empty."""
+    """One table cell; an LP cell above the visibility-LP limit is left empty."""
     try:
         return f"{keyrate.critical_visibility(d, branch).v_crit:.12g}"
-    except polytope.StrategyCapExceeded as exc:
-        print(f"d={d}: {exc}; leaving the {column} cell empty", file=sys.stderr)
+    except polytope.VisibilityLPTooLarge as exc:
+        print(f"{exc}; leaving the {column} cell empty", file=sys.stderr)
         return ""
 
 
@@ -111,7 +111,7 @@ def cmd_check_local(args) -> int:
     d = _check_d(args.d)
     if not 0.0 <= args.vtilde <= 1.0:
         raise ValueError(f"--vtilde must lie in [0,1], got {args.vtilde}")
-    polytope.check_strategy_cap(scenario.Scenario(d), shift_classes=True)
+    polytope.check_visibility_lp_dimension(d)
     ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     mixed = scenario.mix_with_white_noise(ideal, args.vtilde)
     local, residual = polytope.local_residual(mixed)

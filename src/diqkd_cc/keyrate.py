@@ -12,9 +12,15 @@ from math import log, pi
 import numpy as np
 
 from .cglmp import CATALAN, local_visibility_max_entangled
-from .polytope import check_strategy_cap, max_local_visibility
-from .quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
-from .scenario import CorrelationTable, Scenario, _check_dimension, marginal
+from .polytope import check_visibility_lp_dimension, difference_visibility
+from .quantum import (
+    PureState,
+    cglmp_born_table,
+    cglmp_state,
+    difference_distribution,
+    maximally_entangled_state,
+)
+from .scenario import CorrelationTable, Scenario, _check_dimension
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
@@ -89,22 +95,11 @@ def ec_term_general(t: CorrelationTable) -> float:
     Zero Bob-marginal cells contribute nothing.
     """
     s = t.scenario
-    return _conditional_entropy(t.p[:, :, s.keyX - 1, s.keyY - 1])
-
-
-def _conditional_entropy(joint: np.ndarray) -> float:
-    """H(A|B) of a d x d joint p(a, b), base-d; see ec_term_general."""
-    d = joint.shape[0]
-    pB = joint.sum(axis=0)
-    total = 0.0
-    for b in range(d):
-        if pB[b] <= ZERO_PROBABILITY:
-            continue
-        for a in range(d):
-            pab = joint[a, b]
-            if pab > ZERO_PROBABILITY:
-                total -= pab * _log_d(pab / pB[b], d)
-    return total
+    joint = t.p[:, :, s.keyX - 1, s.keyY - 1]
+    pB = np.broadcast_to(joint.sum(axis=0), joint.shape)
+    keep = (joint > ZERO_PROBABILITY) & (pB > ZERO_PROBABILITY)
+    pab = joint[keep]
+    return float(-(pab * np.log(pab / pB[keep])).sum() / log(s.d))
 
 
 def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
@@ -117,21 +112,27 @@ def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
 
 @lru_cache(maxsize=32)
 def nonlocal_table(d: int, branch: str) -> CorrelationTable:
-    """Ideal (V=1) table of the branch's state under the optimal phases."""
+    """Ideal (V=1) table of the branch's state under the optimal phases. The
+    rate and V_L read only its difference distribution (_ideal_differences);
+    the full table is for library use and the tests."""
+    return cglmp_born_table(_branch_state(d, branch))
+
+
+def _branch_state(d: int, branch: str) -> PureState:
     if branch == LP_CGLMP_STATE:
-        state = cglmp_state(d)
-    elif branch in (LP_MAX_ENTANGLED, ANALYTIC_MAX_ENTANGLED):
-        state = maximally_entangled_state(d)
-    else:
-        raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    return cglmp_born_table(state)
+        return cglmp_state(d)
+    if branch in (LP_MAX_ENTANGLED, ANALYTIC_MAX_ENTANGLED):
+        return maximally_entangled_state(d)
+    raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
 @lru_cache(maxsize=32)
-def _key_marginal_entropy(d: int, branch: str) -> float:
-    """H_d of Alice's key-setting marginal of the branch's ideal table."""
-    pNL = nonlocal_table(d, branch)
-    return shannon_base_d(marginal(pNL, "A", pNL.scenario.keyX), d)
+def _ideal_differences(d: int, branch: str) -> np.ndarray:
+    """D(k|x,y) of the branch's ideal table, from the amplitudes c_q of its
+    state sum_q c_q |qq> (quantum.difference_distribution)."""
+    D = difference_distribution(_branch_state(d, branch).amplitudes[:: d + 1])
+    D.setflags(write=False)
+    return D
 
 
 @lru_cache(maxsize=32)
@@ -139,16 +140,15 @@ def local_visibility(d: int, branch: str) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local.
 
     Analytic branch: 2/I_d^max. LP branches: one visibility LP over Alice's
-    outcome pairs (max_local_visibility; Fine, PRL 48, 291 (1982)), which on
-    the shift-invariant ideal table has 3d^2 + 1 columns and 8d + 1 rows,
-    solved once per (d, branch) and cached. The shift-class cap enumerates
-    nothing here: it bounds d before the branch's state is built, since the
-    tuned-state eigensolve alone grows as d^6.
+    outcome pairs (Fine, PRL 48, 291 (1982)) on the ideal table's difference
+    distribution, 3d^2 + 1 columns and 8d + 1 rows (difference_visibility),
+    solved once per (d, branch) and cached. d is checked against
+    VISIBILITY_LP_MAX_D before the branch's state is built.
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d)
-    check_strategy_cap(Scenario(d), shift_classes=True)
-    return max_local_visibility(nonlocal_table(d, branch))
+    check_visibility_lp_dimension(d)
+    return difference_visibility(_ideal_differences(d, branch))
 
 
 def _rate_terms(d: int, V: float, branch: str) -> tuple[float, float, float]:
@@ -158,26 +158,28 @@ def _rate_terms(d: int, V: float, branch: str) -> tuple[float, float, float]:
     VL = local_visibility(d, branch)
     qL = (1.0 - V) / (1.0 - VL) if V >= VL else 1.0
     if branch == ANALYTIC_MAX_ENTANGLED:
-        pa = 1.0 - qL
         ec = ec_term_isotropic(d, V)
     else:
-        # pa_term_cc and ec_term_general(mix_with_white_noise(pNL, V)), with
-        # the same float operations: 1 - qL is already in [0, 1], and only
-        # the key slice of the mixed table is formed
-        key = nonlocal_table(d, branch).p[:, :, Scenario.keyX - 1, Scenario.keyY - 1]
-        pa = (1.0 - qL) * _key_marginal_entropy(d, branch)
-        ec = _conditional_entropy(V * key + (1.0 - V) / d**2)
-    return qL, pa, ec
+        # the mixed table is shift-invariant, so H(A|B) is the entropy of its
+        # key-setting difference distribution D_m; the log of D_m / sum D_m
+        # (Bob's marginal over 1/d) keeps it exact where D_m is one point
+        key = _ideal_differences(d, branch)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+        mixed = V * key + (1.0 - V) / d
+        total = mixed.sum()
+        mixed = mixed[mixed > ZERO_PROBABILITY]
+        ec = float(-(mixed * np.log(mixed / total)).sum() / log(d))
+    return qL, 1.0 - qL, ec
 
 
 def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     """r_ub = pa - ec at visibility V.
 
     The mixed table lies on the segment from white noise to the ideal table,
-    where Eve's maximal local weight is qL = min(1, (1-V)/(1-V_L)). The
-    analytic branch takes pa = 1 - qL and the isotropic EC term; the LP
-    branches take pa from the ideal table's key marginal and ec from the
-    mixed table.
+    where Eve's maximal local weight is qL = min(1, (1-V)/(1-V_L)). Every
+    table here depends on the outcomes only through b - a, so Alice's key
+    marginal is uniform and pa = 1 - qL on every branch. The analytic branch
+    takes the isotropic EC term; the LP branches take H_d(V D_key + (1-V)/d)
+    of the ideal table's key-setting difference distribution D_key.
     """
     qL, pa, ec = _rate_terms(d, V, branch)
     return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)

@@ -10,7 +10,10 @@ J_y(a1, a2, b) need only agree on their (a1, a2) marginal (Fine, PRL 48, 291
 (1982)). That is 3d^3 columns and 8d^2 + 1 rows. A table that depends on the
 outcomes only through b - a mod d is solved on its difference distribution
 with a1 fixed at 0 by the joint outcome shift (a, b) -> (a+k, b+k) (Rosset,
-Bancal & Gisin, arXiv:1404.1306): 3d^2 columns and 8d + 1 rows.
+Bancal & Gisin, arXiv:1404.1306): 3d^2 columns and 8d + 1 rows. The key-rate
+layer passes that difference distribution in directly (difference_visibility)
+and never forms the table; max_local_visibility finds it by testing the table
+for shift invariance. Both reach one solver.
 """
 from __future__ import annotations
 
@@ -22,14 +25,20 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .scenario import CorrelationTable, Scenario
+from .scenario import CorrelationTable, Scenario, _check_dimension
 
-#: Refuse to enumerate more deterministic strategies (or, counted with
-#: shift_classes, more shift classes: one strategy per class) than this. The
-#: visibility LP enumerates neither; on the LP branches and in check-local the
-#: class count only bounds d before the d^2 x d^2 tuned-state eigensolve or
-#: the Born table is built.
+#: Refuse to enumerate more deterministic strategies than this. Only the
+#: per-point CC decomposition (max_local_weight) and enumerate_strategies
+#: enumerate them; the visibility LP does not, and is bounded by
+#: VISIBILITY_LP_MAX_D instead.
 STRATEGY_CAP = 10**6
+
+#: Largest d for which the key-rate layer and check-local solve the
+#: shift-form visibility LP (3d^2 + 1 columns, 8d + 1 rows). Its solve time
+#: grows steeply and unevenly with d: on 2 cores the tuned-state LP takes
+#: 2.4 s at d = 64, 14 s at d = 128, 28 to 42 s for d = 136..144, and 20 to
+#: 70 s for d = 145..150.
+VISIBILITY_LP_MAX_D = 144
 
 #: Per-constraint feasibility tolerance for all LP solves.
 LP_FEASIBILITY_TOL = 1e-9
@@ -45,6 +54,10 @@ _LINPROG_OPTIONS = {
 
 class StrategyCapExceeded(ValueError):
     """Scenario has more deterministic strategies than STRATEGY_CAP."""
+
+
+class VisibilityLPTooLarge(ValueError):
+    """d is above VISIBILITY_LP_MAX_D."""
 
 
 class DecompositionInfeasible(RuntimeError):
@@ -89,14 +102,22 @@ def strategy_from_id(ident: int, scenario: Scenario) -> DeterministicStrategy:
     return DeterministicStrategy(fA=tuple(digits[: s.nA]), fB=tuple(digits[s.nA:]), id=ident)
 
 
-def check_strategy_cap(scenario: Scenario, shift_classes: bool = False) -> None:
+def check_strategy_cap(scenario: Scenario) -> None:
     """Raise StrategyCapExceeded if there are more than STRATEGY_CAP
-    strategies: all d^(nA+nB), or with shift_classes the d^(nA+nB-1) shift
-    classes. Only max_local_weight and enumerate_strategies enumerate
-    strategies; the shift-class count just bounds d (see STRATEGY_CAP)."""
-    n = scenario.n_strategies // scenario.d if shift_classes else scenario.n_strategies
+    strategies, d^(nA+nB)."""
+    n = scenario.n_strategies
     if n > STRATEGY_CAP:
         raise StrategyCapExceeded(f"{n} strategies exceed the cap of {STRATEGY_CAP}")
+
+
+def check_visibility_lp_dimension(d: int) -> None:
+    """Raise VisibilityLPTooLarge if d > VISIBILITY_LP_MAX_D (and TypeError or
+    ValueError for a d that is not an integer >= 2). Called before a state,
+    a table or the LP is built."""
+    d = _check_dimension(d)
+    if d > VISIBILITY_LP_MAX_D:
+        raise VisibilityLPTooLarge(
+            f"d = {d} exceeds the visibility-LP limit d <= {VISIBILITY_LP_MAX_D}")
 
 
 def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:
@@ -157,14 +178,16 @@ def _strategy_matrix(scenario: Scenario) -> sp.csc_array:
                         shape=(s.d**2 * s.nA * s.nB, s.n_strategies))
 
 
-def _response_matrix(d: int, shift: bool) -> sp.csc_array:
-    """Observation and consistency rows of the visibility LP over the columns
-    J_y(a1, a2, b), in (y, a1, a2, b) order; with shift, a1 = 0 only.
+def _visibility_matrix(vectors: list[np.ndarray], d: int, shift: bool) -> sp.csc_array:
+    """A_eq of the visibility LP over the columns J_y(a1, a2, b), in
+    (y, a1, a2, b) order (with shift, a1 = 0 only), then one column per
+    nonlocal vector in vectors[1:], then the V column u - vectors[0].
 
     The observation rows come first, in the row order of _table_vector (with
     shift, of _difference_vector): column (y, a1, a2, b) adds 1 at outcomes
     (a_x, b) (with shift, at b - a_x mod d) for x = 1, 2. Then, at each
-    (a1, a2), sum_b J_1 - sum_b J_y = 0 for y = 2, then y = 3.
+    (a1, a2), sum_b J_1 - sum_b J_y = 0 for y = 2, then y = 3. The last row
+    adds J_1 and the nonlocal weights to 1.
     """
     nA, nB = Scenario.nA, Scenario.nB
     n_pairs = (1 if shift else d) * d
@@ -172,6 +195,8 @@ def _response_matrix(d: int, shift: bool) -> sp.csc_array:
     b = np.tile(np.arange(d), n_pairs)
     n_obs = n_pairs * nA * nB
     n_col = pair.size
+    n_J = nB * n_col
+    total_row = n_obs + 2 * n_pairs
     rows, cols, vals = [], [], []
     for y in range(nB):
         col = y * n_col + np.arange(n_col)
@@ -184,8 +209,19 @@ def _response_matrix(d: int, shift: bool) -> sp.csc_array:
             rows += [n_obs + (y - 1) * n_pairs + pair] * 2
             cols += [np.arange(n_col), col]
             vals += [np.ones(n_col), -np.ones(n_col)]
+    u = 1.0 / (d if shift else d**2)
+    extra = vectors[1:] + [u - vectors[0]]
+    for j, column in enumerate(extra):
+        nonzero = np.flatnonzero(column)
+        rows.append(nonzero)
+        cols.append(np.full(nonzero.size, n_J + j))
+        vals.append(column[nonzero])
+    weights = np.concatenate([np.arange(n_col), n_J + np.arange(len(extra) - 1)])
+    rows.append(np.full(weights.size, total_row))
+    cols.append(weights)
+    vals.append(np.ones(weights.size))
     return sp.csc_array((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n_obs + 2 * n_pairs, nB * n_col))
+                        shape=(total_row + 1, n_J + len(extra)))
 
 
 @dataclass(frozen=True)
@@ -252,33 +288,42 @@ def max_local_visibility(t: CorrelationTable, pNL: CorrelationTable | None = Non
     qL(V) = min(1, (1-V)/(1-V_L)).
 
     If t (and pNL) are shift-invariant, the same LP is solved exactly on
-    their difference distributions D with a1 = 0 and u = 1/d: 8d + 1 rows and
-    3d^2 + 1 columns. Raises ValueError for tables of different scenarios or
-    with a non-finite entry.
+    their difference distributions D with a1 = 0 and u = 1/d, as
+    difference_visibility does: 8d + 1 rows and 3d^2 + 1 columns. Raises
+    ValueError for tables of different scenarios or with a non-finite entry.
     """
     tables = [t] if pNL is None else [t, pNL]
     if pNL is not None and pNL.scenario != t.scenario:
         raise ValueError("observed and nonlocal tables use different scenarios")
     if not all(np.isfinite(x.p).all() for x in tables):
         raise ValueError("table has a non-finite entry")
-    d = t.scenario.d
     vectors = [_difference_vector(x) for x in tables]
     shift = all(v is not None for v in vectors)
     if not shift:
         vectors = [_table_vector(x) for x in tables]
-    J = _response_matrix(d, shift)
-    n_obs = vectors[0].size
-    n_J = J.shape[1]
-    u = np.full(n_obs, 1.0 / (d if shift else d**2))
-    extra = np.zeros((J.shape[0], len(tables)))
-    extra[:n_obs] = np.column_stack(vectors[1:] + [u - vectors[0]])
-    n = n_J + len(tables)
-    total = np.zeros((1, n))
-    total[0, :n_J // Scenario.nB] = 1.0
-    total[0, n_J:n - 1] = 1.0
-    A_eq = sp.vstack([sp.hstack([J, sp.csc_array(extra)]), total], format="csc")
+    return _solve_visibility(vectors, t.scenario.d, shift)
+
+
+def difference_visibility(D: np.ndarray) -> float:
+    """max_local_visibility of the shift-invariant table p(a, b|x, y) =
+    D(b - a|x, y)/d, given by its difference distribution D[k, x-1, y-1]
+    alone: the LP of 8d + 1 rows and 3d^2 + 1 columns."""
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 3 or D.shape[1:] != (Scenario.nA, Scenario.nB):
+        raise ValueError(f"difference distribution must have shape (d, {Scenario.nA}, "
+                         f"{Scenario.nB}), got {D.shape}")
+    if not np.isfinite(D).all():
+        raise ValueError("difference distribution has a non-finite entry")
+    return _solve_visibility([D.reshape(-1)], D.shape[0], shift=True)
+
+
+def _solve_visibility(vectors: list[np.ndarray], d: int, shift: bool) -> float:
+    """The visibility LP of max_local_visibility on the observation vectors
+    [t, pNL?] (difference vectors if shift, else full tables)."""
+    A_eq = _visibility_matrix(vectors, d, shift)
+    n = A_eq.shape[1]
     b_eq = np.zeros(A_eq.shape[0])
-    b_eq[:n_obs] = u
+    b_eq[:vectors[0].size] = 1.0 / (d if shift else d**2)
     b_eq[-1] = 1.0
     cost = np.zeros(n)
     cost[-1] = -1.0

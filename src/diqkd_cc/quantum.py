@@ -1,5 +1,15 @@
 """Complex linear-algebra layer: states, Fourier measurement bases, Bell
 operators, and Born-rule correlation tables used as the nonlocal resource.
+
+Both states of the protocol have the form sum_q c_q |qq>, and everything the
+key-rate layer needs is computed from the d amplitudes c_q. The tuned state
+is the top eigenvector of the CGLMP operator restricted to span{|qq>}, a d x d
+Hermitian Toeplitz matrix (Acin, Durt, Gisin & Latorre, PRA 65, 052325
+(2002)), and its table enters only through the difference distribution
+D(k|x,y), computed from c in O(d^2). The d^2 x d^2 operator
+(cglmp_bell_operator, max_eigenpair) and the full Born table remain as the
+reference they are tested against; the Born table also serves check-local
+and idmax.
 """
 from __future__ import annotations
 
@@ -138,14 +148,54 @@ def cglmp_bell_operator(d: int) -> BellOperatorMatrix:
     return BellOperatorMatrix(d=d, matrix=B, coefficients=coefficients)
 
 
+def _cglmp_toeplitz(d: int) -> np.ndarray:
+    """The CGLMP operator on span{|qq>}: the d x d Hermitian Toeplitz matrix
+    B[q, q'] = (1/d) sum_{x,y,k} C_xy(k) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
+    over the two Bell settings, C_xy(k) = c(1, 1 + k, x, y), built from its
+    entries at q - q' = 0 .. d-1 (the others are their conjugates)."""
+    C = cglmp_coefficients(d)[0]                              # (k, x, y)
+    shift = (np.arange(d)[:, None, None] + np.array(CGLMP_BOB_PHASES)[None, None, :]
+             - np.array(CGLMP_ALICE_PHASES)[None, :, None])   # (k, x, y)
+    m = np.arange(d)
+    entries = np.exp(-2j * pi / d * np.multiply.outer(m, shift)).reshape(d, -1) @ C.ravel() / d
+    entries[0] = entries[0].real
+    lag = m[:, None] - m[None, :]
+    return np.where(lag >= 0, entries[np.abs(lag)], entries[np.abs(lag)].conj())
+
+
 def cglmp_state(d: int) -> PureState:
     """Eigenstate of the CGLMP Bell operator with the largest violation.
 
-    Coincides with the maximally entangled state at d=2; strictly beats it for
-    d >= 3 (non-uniform Schmidt spectrum).
+    It lies in span{|qq>}, where the operator is the d x d Toeplitz matrix of
+    _cglmp_toeplitz; its top eigenvector is the amplitude vector c_q, with the
+    same residual check as max_eigenpair. Coincides with the maximally
+    entangled state at d=2; strictly beats it for d >= 3 (non-uniform Schmidt
+    spectrum).
     """
-    _, state = max_eigenpair(cglmp_bell_operator(d))
-    return state
+    B = _cglmp_toeplitz(d)
+    eigenvalues, eigenvectors = np.linalg.eigh(B)
+    lam = float(eigenvalues[-1])
+    c = eigenvectors[:, -1]
+    residual = float(np.linalg.norm(B @ c - lam * c))
+    if residual > EIGENPAIR_RESIDUAL_TOL:
+        raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
+    amp = np.zeros(d * d, dtype=complex)
+    amp[:: d + 1] = c
+    return PureState(d=d, amplitudes=amp)
+
+
+def difference_distribution(c: np.ndarray) -> np.ndarray:
+    """D[k, x-1, y-1] = sum_a p(a, a+k mod d | x, y) of the table that
+    cglmp_born_table gives for sum_q c_q |qq>: with w = exp(2 pi i/d),
+    D(k|x,y) = |sum_q c_q w^(q (k + phiB_y - phiA_x))|^2 / d, in O(d^2).
+    The table itself is p(a, b|x, y) = D(b - a|x, y)/d."""
+    c = np.asarray(c, dtype=complex)
+    d = c.size
+    shift = (np.arange(d)[:, None, None]
+             + np.array(CGLMP_BOB_PHASES + (_BOB_KEY_PHASE,))[None, None, :]
+             - np.array(CGLMP_ALICE_PHASES)[None, :, None])   # (k, x, y)
+    amplitude = np.exp(2j * pi / d * np.multiply.outer(shift, np.arange(d))) @ c
+    return np.abs(amplitude) ** 2 / d
 
 
 def schmidt_coefficients(state: PureState) -> np.ndarray:

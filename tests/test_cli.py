@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import diqkd_cc
-from diqkd_cc import cglmp, cli, keyrate, polytope
+from diqkd_cc import cglmp, cli, keyrate, polytope, quantum
 from diqkd_cc.cli import TABLE_HEADER, main
 
 
@@ -118,7 +118,7 @@ def test_table_cglmp_only_leaves_max_column_empty(capsys):
 
 
 def test_table_tuned_state_d16(capsys):
-    # 16^4 shift classes are under the strategy cap, so the cglmp cell is filled
+    # d = 16 is under the visibility-LP limit, so the cglmp cell is filled
     code, out, err = run(["table", "--d-min", "16", "--d-max", "16"], capsys)
     assert code == 0
     assert out == f"{TABLE_HEADER}\n16,0.79507918344,0.796066603029\n"
@@ -126,15 +126,18 @@ def test_table_tuned_state_d16(capsys):
 
 
 def test_table_strategy_cap_skips_lp_column(capsys):
+    # d = 32 fills the cglmp cell; past the visibility-LP limit it stays empty
     code, out, err = run(["table", "--d-min", "32", "--d-max", "32"], capsys)
+    assert code == 0 and err == ""
+    assert out == f"{TABLE_HEADER}\n32,0.788792313666,0.789370422166\n"
+    d = polytope.VISIBILITY_LP_MAX_D + 1
+    code, out, err = run(["table", "--d-min", str(d), "--d-max", str(d)], capsys)
     assert code == 0
-    lines = out.strip().splitlines()
-    d, vmax, vcglmp = lines[1].split(",")
-    assert d == "32"
+    _, vmax, vcglmp = out.strip().splitlines()[1].split(",")
     assert float(vmax) > 0.75
     assert vcglmp == ""
-    assert "exceed" in err
-    assert "vcrit_cglmp cell empty" in err
+    assert err == (f"d = {d} exceeds the visibility-LP limit d <= {d - 1}; "
+                   "leaving the vcrit_cglmp cell empty\n")
 
 
 # ------------------------------------------------------------------- curve
@@ -260,14 +263,29 @@ def test_check_local_d16_slack_is_white_noise_deficit(monkeypatch, capsys):
 
 
 def test_check_local_checks_strategy_cap_before_building_table(monkeypatch, capsys):
+    # the visibility-LP limit on d, checked before the Born table is built
     def refuse(state):
         raise AssertionError(f"Born table built for d={state.d}")
 
     monkeypatch.setattr(cli.quantum, "cglmp_born_table", refuse)
-    code, out, err = run(["check-local", "--d", "32", "--vtilde", "0.7"], capsys)
+    limit = polytope.VISIBILITY_LP_MAX_D
+    for d in (limit + 1, 2000):
+        code, out, err = run(["check-local", "--d", str(d), "--vtilde", "0.7"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: d = {d} exceeds the visibility-LP limit d <= {limit}\n"
+
+
+def test_vcrit_above_visibility_lp_limit_fails_fast(monkeypatch, capsys):
+    def refuse(d):
+        raise AssertionError(f"tuned state built for d={d}")
+
+    monkeypatch.setattr(keyrate, "cglmp_state", refuse)
+    code, out, err = run(["vcrit", "--d", "2000", "--state", "cglmp"], capsys)
     assert code == 1
     assert out == ""
-    assert "1048576 strategies exceed the cap of 1000000" in err
+    assert err == (f"error: d = 2000 exceeds the visibility-LP limit "
+                   f"d <= {polytope.VISIBILITY_LP_MAX_D}\n")
 
 
 def test_memory_error_is_numerical_failure(monkeypatch, capsys):
@@ -385,7 +403,7 @@ def lp_counter(monkeypatch):
     """Record the A_eq shape of every linprog call from a cold start of every
     cache on the LP path."""
     keyrate.local_visibility.cache_clear()
-    keyrate.nonlocal_table.cache_clear()
+    keyrate._ideal_differences.cache_clear()
     polytope._strategy_matrix.cache_clear()
     calls = []
     solve = polytope.linprog
@@ -403,6 +421,23 @@ def test_vcrit_tuned_state_solves_one_lp(lp_counter, capsys):
     assert code == 0
     assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"
     assert len(lp_counter) == 1
+
+
+def test_tuned_state_runs_on_amplitudes_alone(lp_counter, monkeypatch, capsys):
+    # a cold vcrit builds neither the d^2 x d^2 operator nor a Born table:
+    # the d x d Toeplitz eigensolve gives c_q, and the LP and the rate read
+    # D(k|x,y) computed from c_q
+    def refuse(*args):
+        raise AssertionError("d^2 x d^2 operator or Born table built")
+
+    keyrate.nonlocal_table.cache_clear()
+    for name in ("cglmp_bell_operator", "max_eigenpair", "cglmp_born_table"):
+        monkeypatch.setattr(quantum, name, refuse)
+    monkeypatch.setattr(keyrate, "cglmp_born_table", refuse)
+    code, out, _ = run(["vcrit", "--d", "3", "--state", "cglmp"], capsys)
+    assert code == 0
+    assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"
+    assert lp_counter == [(25, 28)]
 
 
 def test_curve_tuned_state_solves_one_lp(lp_counter, tmp_path, capsys):
@@ -435,3 +470,31 @@ def test_table_output_does_not_depend_on_optimize_flag(tmp_path):
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(TABLE_HEADER.encode())
+
+
+#: SHA-256 of `table --d-min 2 --d-max 8` and `table --state cglmp --d-min 2
+#: --d-max 16`, the gated outputs of the critical-visibility tables.
+GATED_TABLES = {
+    ("table", "--d-min", "2", "--d-max", "8"):
+        "7d79b1eaa3334997cebb69fea9b6248a4443752401432da4b2a4400808c2bd3f",
+    ("table", "--state", "cglmp", "--d-min", "2", "--d-max", "16"):
+        "d76401763bbc0e5e0cae7378c29fb55a7640248cacf08fcd57012af57b51a8db",
+}
+
+
+def test_gated_tables_do_not_depend_on_thread_count():
+    # both tables in one interpreter per BLAS/OpenMP thread count, the two run
+    # side by side
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    script = ("import sys\nfrom diqkd_cc.cli import main\n"
+              f"for argv in {[list(a) for a in GATED_TABLES]!r}:\n"
+              "    assert main(argv) == 0\n")
+    procs = [subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                              env=dict(env, OMP_NUM_THREADS=n, OPENBLAS_NUM_THREADS=n))
+             for n in ("1", "2")]
+    outputs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert all(proc.returncode == 0 for proc in procs)
+    assert outputs[0] == outputs[1]
+    tables = outputs[0].decode().split(TABLE_HEADER + "\n")[1:]
+    hashes = [hashlib.sha256((TABLE_HEADER + "\n" + t).encode()).hexdigest() for t in tables]
+    assert hashes == list(GATED_TABLES.values())

@@ -1,5 +1,6 @@
 """Key-rate bound assembly: entropies, analytic and LP branches, the local
 visibility, critical visibilities, grids, and the d->infinity limit."""
+import math
 from math import log2, pi, sqrt
 
 import numpy as np
@@ -14,7 +15,6 @@ from diqkd_cc import (
     LP_MAX_ENTANGLED,
     BracketError,
     KeyRatePoint,
-    StrategyCapExceeded,
     cglmp_value,
     critical_visibility,
     ec_term_general,
@@ -33,7 +33,7 @@ from diqkd_cc import (
     uniform_table,
     vcrit_asymptotic,
 )
-from diqkd_cc import keyrate
+from diqkd_cc import keyrate, polytope
 from diqkd_cc.keyrate import _bisect, nonlocal_table
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
 from diqkd_cc.scenario import Scenario, marginal
@@ -241,14 +241,60 @@ def test_closed_form_weight_matches_per_point_lp(d, branch):
 @pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_lp_rate_terms_are_the_public_term_functions(d, branch):
-    # bit for bit: the cached marginal entropy and the mixed key slice give
-    # what pa_term_cc and ec_term_general give on the whole mixed table
+    # the rate reads the ideal table's difference distribution only: the key
+    # marginal is uniform, so pa = 1 - qL exactly, and ec is H(A|B) of the
+    # mixed table, which pa_term_cc and ec_term_general give on the whole
+    # table up to rounding
     pNL = nonlocal_table(d, branch)
     alice_key = marginal(pNL, "A", pNL.scenario.keyX)
     for V in np.linspace(0.6, 1.0, 41):
         pt = keyrate_point(d, float(V), branch)
-        assert pt.pa_term == pa_term_cc(pt.qL, alice_key)
-        assert pt.ec_term == ec_term_general(mix_with_white_noise(pNL, float(V)))
+        assert pt.pa_term == 1.0 - pt.qL
+        assert pt.pa_term == pytest.approx(pa_term_cc(pt.qL, alice_key), abs=1e-14)
+        assert pt.ec_term == pytest.approx(
+            ec_term_general(mix_with_white_noise(pNL, float(V))), abs=1e-14)
+
+
+def _ulps(x: float, y: float) -> float:
+    return abs(x - y) / math.ulp(y)
+
+
+@pytest.mark.parametrize("d", [3, 8, 16, 24, 32])
+def test_tuned_state_visibility_is_the_cglmp_functional(d):
+    # the LP's dual is the CGLMP functional: V_L = 2 / I(pNL). The bound is
+    # the LP's own rounding (up to 12 ulp over d = 2..40), not the table's
+    V_L = local_visibility(d, LP_CGLMP_STATE)
+    assert _ulps(V_L, 2.0 / cglmp_value(nonlocal_table(d, LP_CGLMP_STATE))) <= 16
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])
+def test_max_entangled_visibility_lp_is_the_closed_form(d):
+    assert _ulps(local_visibility(d, LP_MAX_ENTANGLED), 2.0 / idmax_closed_form(d)) <= 4
+
+
+def _h(p: float) -> float:
+    return 0.0 if p in (0.0, 1.0) else -p * log2(p) - (1.0 - p) * log2(1.0 - p)
+
+
+def _rate_lower_bound_d2(V: float) -> float:
+    """Pironio et al., NJP 11, 045021 (2009): the CHSH key rate of this
+    protocol, with S = 2 sqrt(2) V and bit error Q = (1 - V)/2."""
+    S = 2.0 * sqrt(2.0) * V
+    return 1.0 - _h((1.0 + sqrt(max(0.0, (S / 2.0) ** 2 - 1.0))) / 2.0) - _h((1.0 - V) / 2.0)
+
+
+def test_qubit_lower_bound_stays_below_upper_bound():
+    # the abstract's qubit gap: the DIQKD lower bound reaches zero at
+    # V = 0.85702 (Q = 7.15 %), the CC-attack upper bound at V = 0.82999
+    for V in np.linspace(0.72, 1.0, 281):
+        assert _rate_lower_bound_d2(float(V)) <= keyrate_point(
+            2, float(V), ANALYTIC_MAX_ENTANGLED).r_ub + 1e-12
+    v_lb = _bisect(_rate_lower_bound_d2, 0.8, 0.9)
+    assert v_lb == pytest.approx(0.85702, abs=5e-6)
+    assert (1.0 - v_lb) / 2.0 == pytest.approx(0.0715, abs=5e-5)
+    v_ub = critical_visibility(2).v_crit
+    assert v_ub == pytest.approx(0.82999, abs=5e-6)
+    assert v_lb - v_ub > 0.027
 
 
 # ---------------------------------------------------- critical visibility
@@ -279,12 +325,14 @@ def test_critical_visibility_residual_is_keyrate_point_r_ub(d, branch):
 
 
 def test_strategy_cap_checked_before_tuned_state_is_built(monkeypatch):
+    # the visibility-LP limit on d, checked before any state is built
     def unbuilt(d):
-        raise AssertionError(f"cglmp_state({d}) built for an over-cap scenario")
+        raise AssertionError(f"cglmp_state({d}) built above the visibility-LP limit")
 
     monkeypatch.setattr(keyrate, "cglmp_state", unbuilt)
-    with pytest.raises(StrategyCapExceeded):
-        critical_visibility(40, LP_CGLMP_STATE)
+    d = polytope.VISIBILITY_LP_MAX_D + 1
+    with pytest.raises(polytope.VisibilityLPTooLarge, match=f"d <= {d - 1}"):
+        critical_visibility(d, LP_CGLMP_STATE)
 
 
 def test_critical_visibility_decreasing_and_bounded():

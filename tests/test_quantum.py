@@ -21,7 +21,13 @@ from diqkd_cc import (
     schmidt_coefficients,
     validate,
 )
-from diqkd_cc.quantum import CGLMP_ALICE_PHASES, CGLMP_BOB_PHASES
+from diqkd_cc.polytope import _difference_vector
+from diqkd_cc.quantum import (
+    CGLMP_ALICE_PHASES,
+    CGLMP_BOB_PHASES,
+    _cglmp_toeplitz,
+    difference_distribution,
+)
 
 OP3 = cglmp_bell_operator(3)
 
@@ -208,3 +214,33 @@ def test_cglmp_state_d3_schmidt_spectrum():
 def test_cglmp_state_value_matches_eigenvalue():
     lam, state = max_eigenpair(OP3)
     assert cglmp_value(cglmp_born_table(state)) == pytest.approx(lam, abs=1e-9)
+
+
+# --------------------------------------- Toeplitz state, D from amplitudes
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_toeplitz_state_matches_full_operator(d):
+    # the d^2 x d^2 operator is the oracle for the d x d Toeplitz eigensolve
+    lam_full, full = max_eigenpair(cglmp_bell_operator(d))
+    lam_toeplitz = np.linalg.eigvalsh(_cglmp_toeplitz(d))[-1]
+    assert abs(lam_toeplitz - lam_full) <= 1e-12
+    state = cglmp_state(d)
+    assert abs(np.vdot(state.amplitudes, full.amplitudes)) >= 1.0 - 1e-12
+    amp = state.amplitudes.reshape(d, d)
+    assert np.array_equal(amp, np.diag(np.diag(amp)))  # only |qq> amplitudes
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+def test_toeplitz_matrix_is_the_operator_on_span_qq(d):
+    diagonal = np.arange(d) * (d + 1)
+    B = cglmp_bell_operator(d).matrix[np.ix_(diagonal, diagonal)]
+    assert np.max(np.abs(_cglmp_toeplitz(d) - B)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 16])
+def test_difference_distribution_matches_born_table(d):
+    for state in (cglmp_state(d), maximally_entangled_state(d)):
+        D = difference_distribution(state.amplitudes[:: d + 1])
+        assert D.shape == (d, 2, 3)
+        reference = _difference_vector(cglmp_born_table(state))
+        assert np.max(np.abs(D.reshape(-1) - reference)) <= 1e-14
