@@ -10,7 +10,7 @@ import argparse
 import os
 import sys
 
-from diqkd_cc import critical_visibility, vcrit_asymptotic
+from diqkd_cc import critical_visibilities, vcrit_asymptotic
 from diqkd_cc.svgplot import line_chart
 
 
@@ -23,7 +23,7 @@ def main():
 
     limit = vcrit_asymptotic()
     ds = list(range(2, args.d_max + 1))
-    vals = [critical_visibility(d).v_crit for d in ds]
+    vals = [r.v_crit for r in critical_visibilities(ds)]
 
     csv_path = os.path.join(args.outdir, "vcrit_vs_d.csv")
     with open(csv_path, "w") as fh:

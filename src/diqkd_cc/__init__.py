@@ -60,6 +60,7 @@ from .keyrate import (
     BracketError,
     CriticalVisibility,
     KeyRatePoint,
+    critical_visibilities,
     critical_visibility,
     ec_term_general,
     ec_term_isotropic,
@@ -67,7 +68,6 @@ from .keyrate import (
     keyrate_point,
     local_visibility,
     pa_term_cc,
-    rub_asymptotic,
     shannon_base_d,
     vcrit_asymptotic,
 )

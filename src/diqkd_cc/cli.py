@@ -65,24 +65,28 @@ def cmd_vcrit(args) -> int:
     return 0
 
 
-def _vcrit_cell(d: int, branch: str, column: str) -> str:
-    """One table cell; an LP cell above the visibility-LP limit is left empty."""
-    try:
-        return f"{keyrate.critical_visibility(d, branch).v_crit:.12g}"
-    except polytope.VisibilityLPTooLarge as exc:
-        print(f"{exc}; leaving the {column} cell empty", file=sys.stderr)
-        return ""
+def _vcrit_column(ds: range, branch: str, column: str) -> list[str]:
+    """One table column from one critical_visibilities call. An LP cell above
+    the visibility-LP limit is left empty, with a note on stderr."""
+    solvable = []
+    for d in ds:
+        if branch != keyrate.ANALYTIC_MAX_ENTANGLED and d > polytope.VISIBILITY_LP_MAX_D:
+            print(f"d = {d} exceeds the visibility-LP limit d <= {polytope.VISIBILITY_LP_MAX_D}; "
+                  f"leaving the {column} cell empty", file=sys.stderr)
+        else:
+            solvable.append(d)
+    cells = {r.d: f"{r.v_crit:.12g}" for r in keyrate.critical_visibilities(solvable, branch)}
+    return [cells.get(d, "") for d in ds]
 
 
 def cmd_table(args) -> int:
     if args.d_min < 2 or args.d_max < args.d_min:
         raise ValueError(f"need 2 <= d-min <= d-max, got [{args.d_min}, {args.d_max}]")
-    lines = [TABLE_HEADER]
-    for d in range(args.d_min, args.d_max + 1):
-        cells = [_vcrit_cell(d, branch, f"vcrit_{state}")
-                 if args.state in (state, "both") else ""
-                 for state, branch in BRANCH_OF_STATE.items()]
-        lines.append(",".join([str(d), *cells]))
+    ds = range(args.d_min, args.d_max + 1)
+    columns = [_vcrit_column(ds, branch, f"vcrit_{state}")
+               if args.state in (state, "both") else [""] * len(ds)
+               for state, branch in BRANCH_OF_STATE.items()]
+    lines = [TABLE_HEADER, *(",".join([str(d), *cells]) for d, *cells in zip(ds, *columns))]
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

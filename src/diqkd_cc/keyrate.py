@@ -58,6 +58,11 @@ class CriticalVisibility:
     residual: float  # r_ub at the returned visibility
 
 
+def _check_visibility(V: float) -> None:
+    if not 0.0 <= V <= 1.0:
+        raise ValueError(f"visibility must lie in [0,1], got {V}")
+
+
 def _log_d(value: float, d: int) -> float:
     return log(value) / log(d)
 
@@ -76,17 +81,18 @@ def ec_term_isotropic(d: int, V: float) -> float:
     """H(A|B) at the key settings for the white-noise-mixed perfectly
     correlated table: 1 - [(1+(d-1)V)/d] log_d(1+(d-1)V) - [(d-1)(1-V)/d] log_d(1-V)."""
     d = _check_dimension(d)
-    if not 0.0 <= V <= 1.0:
-        raise ValueError(f"visibility must lie in [0,1], got {V}")
-    ln_d = log(d)
-    out = 1.0
+    _check_visibility(V)
+    return float(_ec_isotropic(d, V))
+
+
+def _ec_isotropic(d, V):
+    """ec_term_isotropic elementwise over arrays d and V, unchecked."""
+    ln_d = np.log(d)
     big = 1.0 + (d - 1) * V
     small = 1.0 - V
-    if big > ZERO_PROBABILITY:
-        out -= big / d * (log(big) / ln_d)
-    if small > ZERO_PROBABILITY:
-        out -= (d - 1) * small / d * (log(small) / ln_d)
-    return out
+    # small is 0 or at least 2^-53; at 0 the clip keeps 0 log 0 at 0
+    small_log = np.log(np.maximum(small, ZERO_PROBABILITY))
+    return 1.0 - big / d * (np.log(big) / ln_d) - (d - 1) * small / d * (small_log / ln_d)
 
 
 def ec_term_general(t: CorrelationTable) -> float:
@@ -151,23 +157,36 @@ def local_visibility(d: int, branch: str) -> float:
     return difference_visibility(_ideal_differences(d, branch))
 
 
-def _rate_terms(d: int, V: float, branch: str) -> tuple[float, float, float]:
-    """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point."""
-    if not 0.0 <= V <= 1.0:
-        raise ValueError(f"visibility must lie in [0,1], got {V}")
-    VL = local_visibility(d, branch)
-    qL = (1.0 - V) / (1.0 - VL) if V >= VL else 1.0
-    if branch == ANALYTIC_MAX_ENTANGLED:
-        ec = ec_term_isotropic(d, V)
+def _key_differences(d: int, branch: str) -> np.ndarray:
+    """D(k|keyX,keyY) of the branch's ideal table."""
+    return _ideal_differences(d, branch)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+
+
+def _ec_differences(d: int, V: float, key: np.ndarray) -> float:
+    """H(A|B) of the mixed table at the key settings, from the ideal table's
+    key-setting difference distribution. The mixed table is shift-invariant,
+    so H(A|B) is the entropy of its difference distribution D_m; the log of
+    D_m / sum D_m (Bob's marginal over 1/d) keeps it exact where D_m is one
+    point."""
+    mixed = V * key + (1.0 - V) / d
+    total = mixed.sum()
+    mixed = mixed[mixed > ZERO_PROBABILITY]
+    return float(-(mixed * np.log(mixed / total)).sum() / log(d))
+
+
+def _rate_terms(d, V, VL, key=None):
+    """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point.
+    Elementwise: d, V and V_L are scalars or 1-D arrays of one length. key is
+    None on the analytic branch; on the LP branches it is the key-setting
+    difference distribution (_key_differences) of d, or for arrays one per
+    element. Unchecked: the public entry points check d and V."""
+    qL = np.minimum(1.0, (1.0 - V) / (1.0 - VL))  # 1 below V_L
+    if key is None:
+        ec = _ec_isotropic(d, V)
+    elif np.ndim(V):
+        ec = np.array([_ec_differences(*args) for args in zip(d.tolist(), V.tolist(), key)])
     else:
-        # the mixed table is shift-invariant, so H(A|B) is the entropy of its
-        # key-setting difference distribution D_m; the log of D_m / sum D_m
-        # (Bob's marginal over 1/d) keeps it exact where D_m is one point
-        key = _ideal_differences(d, branch)[:, Scenario.keyX - 1, Scenario.keyY - 1]
-        mixed = V * key + (1.0 - V) / d
-        total = mixed.sum()
-        mixed = mixed[mixed > ZERO_PROBABILITY]
-        ec = float(-(mixed * np.log(mixed / total)).sum() / log(d))
+        ec = _ec_differences(d, V, key)
     return qL, 1.0 - qL, ec
 
 
@@ -181,39 +200,67 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     takes the isotropic EC term; the LP branches take H_d(V D_key + (1-V)/d)
     of the ideal table's key-setting difference distribution D_key.
     """
-    qL, pa, ec = _rate_terms(d, V, branch)
+    d = _check_dimension(d)
+    _check_visibility(V)
+    VL = local_visibility(d, branch)
+    key = None if branch == ANALYTIC_MAX_ENTANGLED else _key_differences(d, branch)
+    qL, pa, ec = map(float, _rate_terms(d, V, VL, key))
     return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo <= 0.0 <= f_hi):
+def _bisect(f, lo, hi, labels=None):
+    """Elementwise bisection of f on the brackets [lo, hi] (scalars or
+    arrays of one shape), where f(lo) <= 0 <= f(hi). f takes and returns
+    arrays of that shape. Every bracket halves at each step until it is
+    narrower than BISECTION_WIDTH and then stays frozen, so each one sees the
+    midpoints of a scalar bisection. Returns the final midpoints; labels
+    (one per bracket, in flat order) name a failing bracket in the error."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    f_lo, f_hi = np.asarray(f(lo)), np.asarray(f(hi))
+    bad = np.flatnonzero(~((f_lo <= 0.0) & (0.0 <= f_hi)))
+    if bad.size:
+        i = bad[0]
+        where = f"{labels[i]}: " if labels is not None else ""
         raise BracketError(
-            f"no sign change on [{lo:.6f}, {hi:.6f}]: f(lo)={f_lo:.3e}, f(hi)={f_hi:.3e}")
-    while hi - lo > BISECTION_WIDTH:
+            f"{where}no sign change on [{lo.flat[i]:.6f}, {hi.flat[i]:.6f}]: "
+            f"f(lo)={f_lo.flat[i]:.3e}, f(hi)={f_hi.flat[i]:.3e}")
+    while True:
         mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        open_ = hi - lo > BISECTION_WIDTH
+        if not open_.any():
+            return mid[()]
+        below = f(mid) <= 0.0
+        lo = np.where(open_ & below, mid, lo)
+        hi = np.where(open_ & ~below, mid, hi)
+
+
+def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[CriticalVisibility]:
+    """Root of r_ub(V) on [V_L(d), 1] for every d in ds, in ds order.
+
+    One elementwise bisection (width 1e-8) advances all brackets together;
+    r_ub is monotone and changes sign on each. Every d gets the midpoints,
+    and so the result, of its own scalar bisection: critical_visibility(d)
+    is the one-element case.
+    """
+    if branch not in BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
+    ds = [_check_dimension(d) for d in ds]
+    VL = np.array([local_visibility(d, branch) for d in ds], dtype=float)
+    key = None if branch == ANALYTIC_MAX_ENTANGLED else [_key_differences(d, branch) for d in ds]
+    d_arr = np.array(ds, dtype=np.int64)
+
+    def f(V):
+        _, pa, ec = _rate_terms(d_arr, V, VL, key)
+        return pa - ec
+
+    v = _bisect(f, VL, np.ones_like(VL), labels=[f"d = {d}" for d in ds])
+    return [CriticalVisibility(d=d, branch=branch, v_crit=float(vc), residual=float(r))
+            for d, vc, r in zip(ds, v, f(v))]
 
 
 def critical_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED) -> CriticalVisibility:
-    """Root of r_ub(V) on [V_L, 1], located by bisection (width 1e-8);
-    r_ub is monotone and changes sign on that bracket."""
-    def f(V: float) -> float:
-        _, pa, ec = _rate_terms(d, V, branch)
-        return pa - ec
-
-    v = _bisect(f, local_visibility(d, branch), 1.0)
-    return CriticalVisibility(d=d, branch=branch, v_crit=v, residual=f(v))
-
-
-def rub_asymptotic(V: float) -> float:
-    """d->infinity key-rate bound: [(2 - c)V - 1]/(1 - c), c = pi^2/(16 Catalan)."""
-    c = pi**2 / (16.0 * CATALAN)
-    return ((2.0 - c) * V - 1.0) / (1.0 - c)
+    """Root of r_ub(V) on [V_L, 1]; the one-element case of critical_visibilities."""
+    return critical_visibilities([d], branch)[0]
 
 
 def vcrit_asymptotic() -> float:

@@ -101,6 +101,16 @@ def test_table_analytic_sweep_is_pinned(capsys):
         "e82c5b21f980cb75883a8dc9b6bc9387433cb8a9e59deba0a0cf1fbb77b3850e")
 
 
+def test_table_rows_do_not_depend_on_their_neighbours(capsys):
+    # the whole column is bisected at once, yet each row is its own bisection
+    code, sweep, _ = run(["table", "--state", "max", "--d-min", "2", "--d-max", "1000"], capsys)
+    assert code == 0
+    code, part, err = run(["table", "--state", "max", "--d-min", "500", "--d-max", "510"], capsys)
+    assert code == 0 and err == ""
+    rows = sweep.splitlines(keepends=True)
+    assert part == rows[0] + "".join(rows[499:510])
+
+
 def test_table_rejects_bad_range(capsys):
     code, _, err = run(["table", "--d-min", "3", "--d-max", "2"], capsys)
     assert code == 1
@@ -125,7 +135,7 @@ def test_table_tuned_state_d16(capsys):
     assert err == ""
 
 
-def test_table_strategy_cap_skips_lp_column(capsys):
+def test_table_strategy_cap_skips_lp_column(monkeypatch, capsys):
     # d = 32 fills the cglmp cell; past the visibility-LP limit it stays empty
     code, out, err = run(["table", "--d-min", "32", "--d-max", "32"], capsys)
     assert code == 0 and err == ""
@@ -138,6 +148,18 @@ def test_table_strategy_cap_skips_lp_column(capsys):
     assert vcglmp == ""
     assert err == (f"d = {d} exceeds the visibility-LP limit d <= {d - 1}; "
                    "leaving the vcrit_cglmp cell empty\n")
+    # across the limit: the cglmp column is bisected for the solvable d only,
+    # and each skipped d gets its stderr line, in d order. The limit is
+    # lowered to 4 here: at the real one, d = 143 and 144 take 51 s of LP
+    code, full, _ = run(["table", "--d-min", "3", "--d-max", "6"], capsys)
+    assert code == 0
+    monkeypatch.setattr(polytope, "VISIBILITY_LP_MAX_D", 4)
+    code, out, err = run(["table", "--d-min", "3", "--d-max", "6"], capsys)
+    assert code == 0
+    rows = full.splitlines(keepends=True)
+    assert out == "".join(rows[:3] + [row.rsplit(",", 1)[0] + ",\n" for row in rows[3:]])
+    assert err == "".join(f"d = {d} exceeds the visibility-LP limit d <= 4; "
+                          "leaving the vcrit_cglmp cell empty\n" for d in (5, 6))
 
 
 # ------------------------------------------------------------------- curve
@@ -375,12 +397,12 @@ def test_package_exports_are_pinned():
         "DeterministicStrategy", "KeyRatePoint", "LOCAL_BOUND", "LP_CGLMP_STATE",
         "LP_MAX_ENTANGLED", "MeasurementBasis", "PureState", "STRATEGY_CAP", "Scenario",
         "StrategyCapExceeded", "ValidationReport", "cglmp_bell_operator", "cglmp_born_table",
-        "cglmp_coefficients", "cglmp_state", "cglmp_value", "critical_visibility",
-        "ec_term_general", "ec_term_isotropic", "enumerate_strategies", "fourier_basis",
-        "idmax_asymptotic", "idmax_closed_form", "is_local", "k_shift_probability",
-        "keyrate_curve", "keyrate_point", "local_residual", "local_visibility",
-        "local_visibility_max_entangled", "marginal", "max_eigenpair", "max_local_weight",
-        "maximally_entangled_state", "mix_with_white_noise", "pa_term_cc", "rub_asymptotic",
+        "cglmp_coefficients", "cglmp_state", "cglmp_value", "critical_visibilities",
+        "critical_visibility", "ec_term_general", "ec_term_isotropic", "enumerate_strategies",
+        "fourier_basis", "idmax_asymptotic", "idmax_closed_form", "is_local",
+        "k_shift_probability", "keyrate_curve", "keyrate_point", "local_residual",
+        "local_visibility", "local_visibility_max_entangled", "marginal", "max_eigenpair",
+        "max_local_weight", "maximally_entangled_state", "mix_with_white_noise", "pa_term_cc",
         "schmidt_coefficients", "shannon_base_d", "strategy_from_id", "strategy_id",
         "strategy_table", "table_from_text", "table_to_text", "uniform_table", "validate",
         "vcrit_asymptotic",

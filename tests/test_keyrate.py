@@ -16,6 +16,7 @@ from diqkd_cc import (
     BracketError,
     KeyRatePoint,
     cglmp_value,
+    critical_visibilities,
     critical_visibility,
     ec_term_general,
     ec_term_isotropic,
@@ -28,7 +29,6 @@ from diqkd_cc import (
     max_local_weight,
     mix_with_white_noise,
     pa_term_cc,
-    rub_asymptotic,
     shannon_base_d,
     uniform_table,
     vcrit_asymptotic,
@@ -335,6 +335,54 @@ def test_strategy_cap_checked_before_tuned_state_is_built(monkeypatch):
         critical_visibility(d, LP_CGLMP_STATE)
 
 
+def _same_results(batch, ds, branch):
+    scalar = [critical_visibility(d, branch) for d in ds]
+    assert [r.d for r in batch] == list(ds)
+    assert all(r.branch == branch for r in batch)
+    assert [r.v_crit for r in batch] == [r.v_crit for r in scalar]
+    assert [r.residual for r in batch] == [r.residual for r in scalar]
+
+
+def test_batch_is_the_scalar_bisection_analytic():
+    ds = range(2, 301)
+    _same_results(critical_visibilities(ds), ds, ANALYTIC_MAX_ENTANGLED)
+
+
+@pytest.mark.parametrize("branch, ds", [(LP_CGLMP_STATE, range(2, 9)),
+                                        (LP_MAX_ENTANGLED, range(2, 6))])
+def test_batch_is_the_scalar_bisection_lp(branch, ds):
+    _same_results(critical_visibilities(ds, branch), ds, branch)
+
+
+@pytest.mark.parametrize("branch", [ANALYTIC_MAX_ENTANGLED, LP_CGLMP_STATE])
+def test_batch_keeps_order_and_repeats(branch):
+    ds = [7, 3, 5, 3, 2, 7, np.int64(4)]
+    _same_results(critical_visibilities(ds, branch), ds, branch)
+
+
+def test_batch_of_no_dimension_is_empty():
+    assert critical_visibilities([]) == []
+    assert critical_visibilities([], LP_CGLMP_STATE) == []
+
+
+def test_batch_validates_dimensions_and_branch():
+    with pytest.raises(TypeError, match="integer"):
+        critical_visibilities([3, 2.5])
+    with pytest.raises(ValueError, match=">= 2"):
+        critical_visibilities([3, 1])
+    with pytest.raises(ValueError, match="branch"):
+        critical_visibilities([], "bogus")
+
+
+def test_batch_bracket_error_names_its_dimension(monkeypatch):
+    # an EC term of -1 at d = 5 makes its rate positive at V_L already
+    real = keyrate._ec_isotropic
+    monkeypatch.setattr(keyrate, "_ec_isotropic",
+                        lambda d, V: np.where(d == 5, -1.0, real(d, V)))
+    with pytest.raises(BracketError, match=r"^d = 5: no sign change on \[0\.\d{6}, 1\.000000\]"):
+        critical_visibilities([3, 4, 5, 6])
+
+
 def test_critical_visibility_decreasing_and_bounded():
     vals = [critical_visibility(d).v_crit for d in range(2, 17)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
@@ -361,12 +409,6 @@ def test_asymptotic_constants():
     assert v_inf == pytest.approx(1.0 / (2.0 - pi**2 / (16.0 * CATALAN)), abs=0)
     assert v_inf == pytest.approx(0.753830945875, abs=1e-12)
     assert v_inf * idmax_asymptotic() == pytest.approx(2.238738436718, abs=1e-9)
-
-
-def test_asymptotic_rate_endpoints():
-    assert rub_asymptotic(vcrit_asymptotic()) == pytest.approx(0.0, abs=1e-14)
-    assert rub_asymptotic(1.0) == pytest.approx(1.0, abs=1e-14)
-    assert rub_asymptotic(0.9) > rub_asymptotic(0.8)
 
 
 # ------------------------------------------------------------------- grids
@@ -399,3 +441,11 @@ def test_bisect_finds_root():
 def test_bisect_requires_bracket():
     with pytest.raises(BracketError):
         _bisect(lambda v: v + 1.0, 0.0, 1.0)
+
+
+def test_bisect_freezes_each_bracket_at_its_own_width():
+    # brackets of different widths halve a different number of times, and
+    # each ends at the midpoint of its own scalar bisection
+    lo, hi = np.array([0.0, 0.4, 0.45]), np.array([1.0, 0.6, 0.5 + 3e-9])
+    roots = _bisect(lambda v: v - 0.5, lo, hi)
+    assert roots.tolist() == [_bisect(lambda v: v - 0.5, a, b) for a, b in zip(lo, hi)]
