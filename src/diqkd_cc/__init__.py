@@ -12,8 +12,6 @@ from .scenario import (
     k_shift_probability,
     marginal,
     mix_with_white_noise,
-    table_from_text,
-    table_to_text,
     uniform_table,
     validate,
 )
@@ -27,7 +25,6 @@ from .quantum import (
     fourier_basis,
     max_eigenpair,
     maximally_entangled_state,
-    schmidt_coefficients,
 )
 from .cglmp import (
     CATALAN,
@@ -49,7 +46,6 @@ from .polytope import (
     local_residual,
     max_local_weight,
     strategy_from_id,
-    strategy_id,
     strategy_table,
 )
 from .keyrate import (

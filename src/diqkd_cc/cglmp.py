@@ -52,8 +52,7 @@ def cglmp_coefficients(d: int) -> np.ndarray:
     Same term bookkeeping as cglmp_value, pushed onto the (b - a) mod d
     difference classes of each setting pair.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    d = _check_dimension(d)
     c = np.zeros((d, d, 2, 2))
     j = np.arange(d)
 

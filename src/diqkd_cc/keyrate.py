@@ -15,7 +15,6 @@ from .cglmp import CATALAN, local_visibility_max_entangled
 from .polytope import check_visibility_lp_dimension, difference_visibility
 from .quantum import (
     PureState,
-    cglmp_born_table,
     cglmp_state,
     difference_distribution,
     maximally_entangled_state,
@@ -114,14 +113,6 @@ def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
     d = len(alice_marginal_at_key)
     qNL = min(1.0, max(0.0, 1.0 - qL))
     return qNL * shannon_base_d(alice_marginal_at_key, d)
-
-
-@lru_cache(maxsize=32)
-def nonlocal_table(d: int, branch: str) -> CorrelationTable:
-    """Ideal (V=1) table of the branch's state under the optimal phases. The
-    rate and V_L read only its difference distribution (_ideal_differences);
-    the full table is for library use and the tests."""
-    return cglmp_born_table(_branch_state(d, branch))
 
 
 def _branch_state(d: int, branch: str) -> PureState:

@@ -82,13 +82,6 @@ class DeterministicStrategy:
     id: int
 
 
-def strategy_id(fA: tuple[int, ...], fB: tuple[int, ...], scenario: Scenario) -> int:
-    ident = 0
-    for outcome in fA + fB:
-        ident = ident * scenario.d + (outcome - 1)
-    return ident
-
-
 def strategy_from_id(ident: int, scenario: Scenario) -> DeterministicStrategy:
     s = scenario
     if not 0 <= ident < s.n_strategies:
@@ -312,6 +305,7 @@ def difference_visibility(D: np.ndarray) -> float:
     if D.ndim != 3 or D.shape[1:] != (Scenario.nA, Scenario.nB):
         raise ValueError(f"difference distribution must have shape (d, {Scenario.nA}, "
                          f"{Scenario.nB}), got {D.shape}")
+    _check_dimension(D.shape[0])
     if not np.isfinite(D).all():
         raise ValueError("difference distribution has a non-finite entry")
     return _solve_visibility([D.reshape(-1)], D.shape[0], shift=True)

@@ -19,7 +19,7 @@ from math import pi, sqrt
 import numpy as np
 
 from .cglmp import cglmp_coefficients
-from .scenario import CorrelationTable, Scenario
+from .scenario import CorrelationTable, Scenario, _check_dimension
 
 ORTHONORMALITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
@@ -84,8 +84,7 @@ def fourier_basis(d: int, phase: float, conjugate: bool = False) -> MeasurementB
     Bob's bases use conjugate=True (negated exponent). Outcomes enter 0-based
     internally; a global outcome shift only relabels the vectors.
     """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
+    d = _check_dimension(d)
     q = np.arange(d)[None, :]
     a = np.arange(d)[:, None]
     sign = -1.0 if conjugate else 1.0
@@ -95,6 +94,7 @@ def fourier_basis(d: int, phase: float, conjugate: bool = False) -> MeasurementB
 
 def maximally_entangled_state(d: int) -> PureState:
     """(1/sqrt d) sum_q |qq>."""
+    d = _check_dimension(d)
     amp = np.zeros(d * d, dtype=complex)
     amp[:: d + 1] = 1.0 / sqrt(d)
     return PureState(d=d, amplitudes=amp)
@@ -196,8 +196,3 @@ def difference_distribution(c: np.ndarray) -> np.ndarray:
              - np.array(CGLMP_ALICE_PHASES)[None, :, None])   # (k, x, y)
     amplitude = np.exp(2j * pi / d * np.multiply.outer(shift, np.arange(d))) @ c
     return np.abs(amplitude) ** 2 / d
-
-
-def schmidt_coefficients(state: PureState) -> np.ndarray:
-    """Decreasing singular values of the amplitude matrix."""
-    return np.linalg.svd(state.amplitudes.reshape(state.d, state.d), compute_uv=False)

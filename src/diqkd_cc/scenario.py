@@ -152,50 +152,3 @@ def marginal(t: CorrelationTable, party: str, setting: int) -> np.ndarray:
     if dev > MARGINAL_NO_SIGNALING_TOL:
         raise ValueError(f"no-signaling violated for party {party}: residual {dev:.3e}")
     return m.mean(axis=1)
-
-
-def table_to_text(t: CorrelationTable) -> str:
-    """Rows `x y a b p` (15 significant digits) under a `# d nA nB keyX keyY` header."""
-    s = t.scenario
-    lines = [f"# {s.d} {s.nA} {s.nB} {s.keyX} {s.keyY}"]
-    for x in range(s.nA):
-        for y in range(s.nB):
-            for a in range(s.d):
-                for b in range(s.d):
-                    lines.append(f"{x + 1} {y + 1} {a + 1} {b + 1} {t.p[a, b, x, y]:.15g}")
-    return "\n".join(lines) + "\n"
-
-
-def table_from_text(text: str) -> CorrelationTable:
-    """Parse `table_to_text` output. Every (x, y, a, b) row must appear exactly
-    once, with 1-based indices in range and a finite value."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing `# d nA nB keyX keyY` header line")
-    d, *shape = (int(v) for v in lines[0][1:].split())
-    s = Scenario(d=d)
-    nA, nB = s.nA, s.nB
-    if shape != [nA, nB, s.keyX, s.keyY]:
-        raise ValueError(f"header shape {' '.join(map(str, shape))} is not the protocol's "
-                         f"`{nA} {nB} {s.keyX} {s.keyY}`")
-    p = np.zeros((d, d, nA, nB))
-    seen = np.zeros(p.shape, dtype=bool)
-    for ln in lines[1:]:
-        xs, ys, as_, bs, val = ln.split()
-        x, y, a, b = int(xs), int(ys), int(as_), int(bs)
-        if not (1 <= x <= nA and 1 <= y <= nB and 1 <= a <= d and 1 <= b <= d):
-            raise ValueError(f"row {ln.strip()!r}: need 1 <= x <= {nA}, 1 <= y <= {nB}, "
-                             f"1 <= a, b <= {d}")
-        value = float(val)
-        if not np.isfinite(value):
-            raise ValueError(f"row {ln.strip()!r}: value is not finite")
-        cell = (a - 1, b - 1, x - 1, y - 1)
-        if seen[cell]:
-            raise ValueError(f"duplicate row for (x, y, a, b) = ({x}, {y}, {a}, {b})")
-        seen[cell] = True
-        p[cell] = value
-    if not seen.all():
-        a, b, x, y = (int(i) + 1 for i in np.argwhere(~seen)[0])
-        raise ValueError(f"{int((~seen).sum())} rows missing, first (x, y, a, b) = "
-                         f"({x}, {y}, {a}, {b})")
-    return CorrelationTable(s, p)

@@ -79,13 +79,14 @@ def test_closed_form_rejects_d1():
 
 
 def test_closed_form_requires_integral_d():
-    for d in (2.5, 3.0, "3"):
-        with pytest.raises(TypeError, match="integer"):
-            idmax_closed_form(d)
-    for d in (0, -4):
-        with pytest.raises(ValueError, match=">= 2"):
-            idmax_closed_form(d)
-    assert idmax_closed_form(np.int64(5)) == idmax_closed_form(5)
+    for f in (idmax_closed_form, cglmp_coefficients):
+        for d in (2.5, 3.0, "3"):
+            with pytest.raises(TypeError, match="integer"):
+                f(d)
+        for d in (1, True, 0, -4):
+            with pytest.raises(ValueError, match=">= 2"):
+                f(d)
+        assert np.array_equal(f(np.int64(5)), f(5))
 
 
 def _idmax_reference(d: int) -> float:

@@ -403,11 +403,10 @@ def test_package_exports_are_pinned():
         "k_shift_probability", "keyrate_curve", "keyrate_point", "local_residual",
         "local_visibility", "local_visibility_max_entangled", "marginal", "max_eigenpair",
         "max_local_weight", "maximally_entangled_state", "mix_with_white_noise", "pa_term_cc",
-        "schmidt_coefficients", "shannon_base_d", "strategy_from_id", "strategy_id",
-        "strategy_table", "table_from_text", "table_to_text", "uniform_table", "validate",
+        "shannon_base_d", "strategy_from_id", "strategy_table", "uniform_table", "validate",
         "vcrit_asymptotic",
     ]
-    assert len(names) == 56
+    assert len(names) == 52
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -452,10 +451,8 @@ def test_tuned_state_runs_on_amplitudes_alone(lp_counter, monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("d^2 x d^2 operator or Born table built")
 
-    keyrate.nonlocal_table.cache_clear()
     for name in ("cglmp_bell_operator", "max_eigenpair", "cglmp_born_table"):
         monkeypatch.setattr(quantum, name, refuse)
-    monkeypatch.setattr(keyrate, "cglmp_born_table", refuse)
     code, out, _ = run(["vcrit", "--d", "3", "--state", "cglmp"], capsys)
     assert code == 0
     assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"

@@ -34,9 +34,14 @@ from diqkd_cc import (
     vcrit_asymptotic,
 )
 from diqkd_cc import keyrate, polytope
-from diqkd_cc.keyrate import _bisect, nonlocal_table
-from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
+from diqkd_cc.keyrate import _bisect
+from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from diqkd_cc.scenario import Scenario, marginal
+
+
+def _ideal_table(d: int, branch: str):
+    """The branch's ideal (V = 1) Born table."""
+    return cglmp_born_table(keyrate._branch_state(d, branch))
 
 
 # --------------------------------------------------------------- entropies
@@ -108,7 +113,7 @@ def test_ec_general_uniform_is_one():
 
 def test_ec_general_tuned_state_keeps_residual_errors():
     # the tuned state's key settings are not perfectly correlated
-    t = nonlocal_table(3, LP_CGLMP_STATE)
+    t = cglmp_born_table(cglmp_state(3))
     ec = ec_term_general(t)
     assert ec == pytest.approx(0.0617980483, abs=1e-6)
     assert ec > ec_term_isotropic(3, 1.0)
@@ -224,7 +229,7 @@ def test_local_visibility_per_branch():
 @pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_local_visibility_lp_matches_bell_violation(d, branch):
-    pNL = nonlocal_table(d, branch)
+    pNL = _ideal_table(d, branch)
     assert local_visibility(d, branch) == pytest.approx(2.0 / cglmp_value(pNL), abs=1e-9)
 
 
@@ -232,7 +237,7 @@ def test_local_visibility_lp_matches_bell_violation(d, branch):
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_closed_form_weight_matches_per_point_lp(d, branch):
     # qL = min(1, (1-V)/(1-V_L)) against the independent per-point LP oracle
-    pNL = nonlocal_table(d, branch)
+    pNL = _ideal_table(d, branch)
     for V in (local_visibility(d, branch), 0.75, 0.85, 0.95, 1.0):
         oracle = max_local_weight(mix_with_white_noise(pNL, V), pNL).qL
         assert keyrate_point(d, V, branch).qL == pytest.approx(oracle, abs=1e-9)
@@ -245,7 +250,7 @@ def test_lp_rate_terms_are_the_public_term_functions(d, branch):
     # marginal is uniform, so pa = 1 - qL exactly, and ec is H(A|B) of the
     # mixed table, which pa_term_cc and ec_term_general give on the whole
     # table up to rounding
-    pNL = nonlocal_table(d, branch)
+    pNL = _ideal_table(d, branch)
     alice_key = marginal(pNL, "A", pNL.scenario.keyX)
     for V in np.linspace(0.6, 1.0, 41):
         pt = keyrate_point(d, float(V), branch)
@@ -264,7 +269,7 @@ def test_tuned_state_visibility_is_the_cglmp_functional(d):
     # the LP's dual is the CGLMP functional: V_L = 2 / I(pNL). The bound is
     # the LP's own rounding (up to 12 ulp over d = 2..40), not the table's
     V_L = local_visibility(d, LP_CGLMP_STATE)
-    assert _ulps(V_L, 2.0 / cglmp_value(nonlocal_table(d, LP_CGLMP_STATE))) <= 16
+    assert _ulps(V_L, 2.0 / cglmp_value(cglmp_born_table(cglmp_state(d)))) <= 16
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8])

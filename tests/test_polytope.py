@@ -23,18 +23,21 @@ from diqkd_cc import (
     max_local_weight,
     mix_with_white_noise,
     strategy_from_id,
-    strategy_id,
     strategy_table,
     uniform_table,
     validate,
 )
 from diqkd_cc import keyrate, polytope
-from diqkd_cc.keyrate import nonlocal_table
 from diqkd_cc.polytope import LP_FEASIBILITY_TOL
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
 
 ME2 = cglmp_born_table(maximally_entangled_state(2))
 ME3 = cglmp_born_table(maximally_entangled_state(3))
+
+
+def _ideal_table(d: int, branch: str) -> CorrelationTable:
+    """The branch's ideal (V = 1) Born table."""
+    return cglmp_born_table(keyrate._branch_state(d, branch))
 
 
 def _product_table(seed: int, d: int = 2) -> CorrelationTable:
@@ -68,7 +71,9 @@ def test_id_zero_outputs_one_everywhere():
 def test_alice_digits_most_significant():
     s = Scenario(d=2)
     # incrementing Alice's last digit jumps by d^nB
-    assert strategy_id((1, 2), (1, 1, 1), s) == 2 ** 3
+    strat = strategy_from_id(2 ** 3, s)
+    assert strat.fA == (1, 2)
+    assert strat.fB == (1, 1, 1)
 
 
 @given(st.integers(2, 4), st.data())
@@ -76,7 +81,7 @@ def test_strategy_id_round_trip(d, data):
     s = Scenario(d=d)
     ident = data.draw(st.integers(0, s.n_strategies - 1))
     strat = strategy_from_id(ident, s)
-    assert strategy_id(strat.fA, strat.fB, s) == ident
+    assert strat.id == ident
     assert all(1 <= o <= d for o in strat.fA + strat.fB)
 
 
@@ -196,7 +201,7 @@ def test_membership_flips_at_local_visibility():
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_slack_on_noise_segment_is_white_noise_deficit(d, branch):
     # V pNL + (1-V) u needs white-noise weight 1 - V_L/V to become local
-    pNL = nonlocal_table(d, branch)
+    pNL = _ideal_table(d, branch)
     V_L = local_visibility(d, branch)
     for v in (V_L - 0.01, V_L, V_L + 1e-3, 0.9, 1.0):
         local, slack = local_residual(mix_with_white_noise(pNL, v))
@@ -224,7 +229,7 @@ def test_visibility_lp_runs_on_shift_classes(lp_shapes):
     # when one is given
     keyrate.local_visibility.cache_clear()
     local_visibility(3, LP_CGLMP_STATE)
-    pNL = nonlocal_table(3, LP_CGLMP_STATE)
+    pNL = _ideal_table(3, LP_CGLMP_STATE)
     local_residual(mix_with_white_noise(pNL, 0.9), pNL=pNL)
     assert lp_shapes == [(25, 28), (25, 29)]
 
@@ -261,7 +266,7 @@ def _relabel_bob(t: CorrelationTable) -> CorrelationTable:
 def test_relabelled_table_takes_full_lp_with_same_slack(d, branch, lp_shapes):
     # relabelling preserves locality and white noise, so the full-coordinate LP
     # on the relabelled table must match the shift-class LP on the original
-    pNL = nonlocal_table(d, branch)
+    pNL = _ideal_table(d, branch)
     V_L = local_visibility(d, branch)
     for v in (V_L, V_L + 0.02, 1.0):
         mixed = mix_with_white_noise(pNL, v)
@@ -281,8 +286,8 @@ def test_visibility_matches_strategy_lp(d, branch, relabel, with_pnl):
     # the nonlocal column is the other state's table at visibility 0.9, so the
     # optimum lies strictly between V_L and 1
     other = LP_CGLMP_STATE if branch == LP_MAX_ENTANGLED else LP_MAX_ENTANGLED
-    t = nonlocal_table(d, branch)
-    pNL = mix_with_white_noise(nonlocal_table(d, other), 0.9) if with_pnl else None
+    t = _ideal_table(d, branch)
+    pNL = mix_with_white_noise(_ideal_table(d, other), 0.9) if with_pnl else None
     if relabel:
         t = _relabel_bob(t)
         pNL = None if pNL is None else _relabel_bob(pNL)
@@ -306,7 +311,7 @@ def test_visibility_solution_is_a_strategy_mixture(d, branch, monkeypatch):
         return res
 
     monkeypatch.setattr(polytope, "linprog", recorded)
-    pNL = nonlocal_table(d, branch)
+    pNL = _ideal_table(d, branch)
     V_L = polytope.max_local_visibility(pNL)
     (x,) = solutions
     assert x.size == 3 * d**2 + 1 and x[-1] == V_L
@@ -339,6 +344,13 @@ def test_visibility_rejects_non_finite_table(lp_shapes):
         local_residual(CorrelationTable(ME3.scenario, p))
     with pytest.raises(ValueError, match="non-finite"):
         local_residual(ME3, pNL=CorrelationTable(ME3.scenario, p))
+    assert lp_shapes == []
+
+
+def test_difference_visibility_rejects_d_below_2(lp_shapes):
+    for d in (0, 1):
+        with pytest.raises(ValueError, match=">= 2"):
+            polytope.difference_visibility(np.zeros((d, Scenario.nA, Scenario.nB)))
     assert lp_shapes == []
 
 

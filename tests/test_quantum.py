@@ -18,7 +18,6 @@ from diqkd_cc import (
     idmax_closed_form,
     max_eigenpair,
     maximally_entangled_state,
-    schmidt_coefficients,
     validate,
 )
 from diqkd_cc.polytope import _difference_vector
@@ -52,6 +51,20 @@ def test_fourier_rejects_d1():
         fourier_basis(1, 0.0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda d: maximally_entangled_state(d).amplitudes,
+    lambda d: fourier_basis(d, 0.25).vectors,
+], ids=["maximally_entangled_state", "fourier_basis"])
+def test_builders_require_integral_d(build):
+    for d in (2.5, 3.0, "3"):
+        with pytest.raises(TypeError, match="integer"):
+            build(d)
+    for d in (1, True, 0, -4):
+        with pytest.raises(ValueError, match=">= 2"):
+            build(d)
+    assert np.array_equal(build(np.int64(5)), build(5))
+
+
 def test_basis_validation_rejects_degenerate_vectors():
     bad = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="orthonormal"):
@@ -75,7 +88,7 @@ def test_maximally_entangled_state(d):
     state = maximally_entangled_state(d)
     psi = state.amplitudes.reshape(d, d)
     assert np.allclose(psi, np.eye(d) / sqrt(d), atol=1e-15)
-    assert np.allclose(schmidt_coefficients(state), 1.0 / sqrt(d), atol=1e-12)
+    assert np.allclose(np.abs(state.amplitudes[:: d + 1]), 1.0 / sqrt(d), atol=1e-12)
 
 
 # ------------------------------------------------------------- Born tables
@@ -204,7 +217,8 @@ def test_cglmp_state_d2_is_maximally_entangled():
 
 def test_cglmp_state_d3_schmidt_spectrum():
     # Schmidt vector proportional to (1, gamma, 1), gamma = (sqrt 11 - sqrt 3)/2
-    coeffs = schmidt_coefficients(cglmp_state(3))
+    # the state is sum_q c_q |qq>, so its Schmidt coefficients are the |c_q|
+    coeffs = np.sort(np.abs(cglmp_state(3).amplitudes[::4]))[::-1]
     gamma = (sqrt(11.0) - sqrt(3.0)) / 2.0
     assert coeffs[0] == pytest.approx(coeffs[1], abs=1e-9)
     assert coeffs[2] / coeffs[0] == pytest.approx(gamma, abs=1e-9)

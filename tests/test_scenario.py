@@ -1,5 +1,5 @@
 """Correlation-table container: validation, noise mixing, outcome-shift
-statistics, marginals, and the text round-trip."""
+statistics and marginals."""
 import dataclasses
 
 import numpy as np
@@ -15,8 +15,6 @@ from diqkd_cc import (
     marginal,
     maximally_entangled_state,
     mix_with_white_noise,
-    table_from_text,
-    table_to_text,
     uniform_table,
     validate,
 )
@@ -228,57 +226,3 @@ def test_marginal_argument_errors():
         marginal(ME2, "A", 3)
     with pytest.raises(IndexError):
         marginal(ME2, "B", 0)
-
-
-# -------------------------------------------------------------- text round trip
-
-def test_text_header_and_size():
-    text = table_to_text(ME3)
-    lines = text.strip().splitlines()
-    assert lines[0] == "# 3 2 3 2 3"
-    assert len(lines) == 1 + 3 * 3 * 2 * 3
-
-
-def test_text_round_trip_exactish():
-    back = table_from_text(table_to_text(ME3))
-    assert back.scenario == ME3.scenario
-    assert np.allclose(back.p, ME3.p, rtol=0, atol=1e-14)
-
-
-@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
-def test_text_round_trip_random_tables(d, seed):
-    t = _product_table(seed, d=d)
-    back = table_from_text(table_to_text(t))
-    assert np.allclose(back.p, t.p, rtol=0, atol=1e-14)
-
-
-def test_text_requires_header():
-    with pytest.raises(ValueError, match="header"):
-        table_from_text("1 1 1 1 0.25\n")
-
-
-def test_text_rejects_other_shapes():
-    rows = "".join(f"{x} {y} {a} {b} 0.25\n"
-                   for x in (1, 2) for y in (1, 2) for a in (1, 2) for b in (1, 2))
-    with pytest.raises(ValueError, match="`2 3 2 3`"):
-        table_from_text("# 2 2 2 2 2\n" + rows)
-
-
-def _edit_rows(edit):
-    header, *rows = table_to_text(ME2).splitlines()
-    return "\n".join([header, *edit(rows)]) + "\n"
-
-
-@pytest.mark.parametrize("edit,match", [
-    (lambda rows: rows + ["1 1 1 1 0.5"], "duplicate"),
-    (lambda rows: rows[:-1], "missing"),
-    (lambda rows: ["1 1 1 1 nan"] + rows[1:], "finite"),
-    (lambda rows: ["1 1 1 1 inf"] + rows[1:], "finite"),
-    (lambda rows: ["1 1 0 1 0.25"] + rows[1:], "1 <= a, b <= 2"),
-    (lambda rows: rows[:-1] + ["2 3 2 3 0.25"], "1 <= a, b <= 2"),
-    (lambda rows: ["3 1 1 1 0.25"] + rows[1:], "1 <= x <= 2"),
-    (lambda rows: ["1 4 1 1 0.25"] + rows[1:], "1 <= y <= 3"),
-], ids=["duplicate", "missing", "nan", "inf", "outcome-0", "outcome-d+1", "x", "y"])
-def test_text_rejects_malformed_rows(edit, match):
-    with pytest.raises(ValueError, match=match):
-        table_from_text(_edit_rows(edit))
