@@ -30,12 +30,6 @@ class _Parser(argparse.ArgumentParser):
 BRANCH_OF_STATE = {"max": keyrate.ANALYTIC_MAX_ENTANGLED, "cglmp": keyrate.LP_CGLMP_STATE}
 
 
-def _check_d(d: int) -> int:
-    if d < 2:
-        raise ValueError(f"--d must be >= 2, got {d}")
-    return d
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -45,7 +39,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_idmax(args) -> int:
-    d = _check_d(args.d)
+    d = args.d
     closed = cglmp.idmax_closed_form(d)
     table = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     born = cglmp.cglmp_value(table)
@@ -57,7 +51,7 @@ def cmd_idmax(args) -> int:
 
 
 def cmd_vcrit(args) -> int:
-    d = _check_d(args.d)
+    d = args.d
     branch = BRANCH_OF_STATE[args.state]
     result = keyrate.critical_visibility(d, branch)
     method = "analytic" if branch == keyrate.ANALYTIC_MAX_ENTANGLED else "lp"
@@ -92,7 +86,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    d = _check_d(args.d)
+    d = args.d
     branch = BRANCH_OF_STATE[args.state]
     points = keyrate.keyrate_curve(d, branch, args.v_min, args.v_max, args.steps)
     scale = log2(d) if args.unit == "bits" else 1.0
@@ -112,10 +106,10 @@ def cmd_curve(args) -> int:
 
 
 def cmd_check_local(args) -> int:
-    d = _check_d(args.d)
+    d = args.d
+    polytope.check_visibility_lp_dimension(d)
     if not 0.0 <= args.vtilde <= 1.0:
         raise ValueError(f"--vtilde must lie in [0,1], got {args.vtilde}")
-    polytope.check_visibility_lp_dimension(d)
     ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     mixed = scenario.mix_with_white_noise(ideal, args.vtilde)
     local, residual = polytope.local_residual(mixed)

@@ -6,7 +6,6 @@ All entropies are base-d ("dits"); multiply by log2(d) for bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import log, pi
 
 import numpy as np
@@ -123,34 +122,29 @@ def _branch_state(d: int, branch: str) -> PureState:
     raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
-@lru_cache(maxsize=32)
-def _ideal_differences(d: int, branch: str) -> np.ndarray:
-    """D(k|x,y) of the branch's ideal table, from the amplitudes c_q of its
-    state sum_q c_q |qq> (quantum.difference_distribution)."""
-    D = difference_distribution(_branch_state(d, branch).amplitudes[:: d + 1])
-    D.setflags(write=False)
-    return D
+def _resource(d: int, branch: str) -> tuple[float, np.ndarray | None]:
+    """(V_L, D_key) of the branch at d: the largest visibility at which its
+    mixed table is still local, and the ideal table's key-setting difference
+    distribution D(k|keyX,keyY) (None on the analytic branch).
 
-
-@lru_cache(maxsize=32)
-def local_visibility(d: int, branch: str) -> float:
-    """Largest visibility V_L at which the branch's mixed table is still local.
-
-    Analytic branch: 2/I_d^max. LP branches: one visibility LP over Alice's
-    outcome pairs (Fine, PRL 48, 291 (1982)) on the ideal table's difference
-    distribution, 3d^2 + 1 columns and 8d + 1 rows (difference_visibility),
-    solved once per (d, branch) and cached. d is checked against
-    VISIBILITY_LP_MAX_D before the branch's state is built.
+    Analytic branch: V_L = 2/I_d^max. LP branches: d is checked against
+    VISIBILITY_LP_MAX_D before the state sum_q c_q |qq> is built; D(k|x,y)
+    comes from its amplitudes c_q (quantum.difference_distribution), and V_L
+    from one visibility LP over Alice's outcome pairs (Fine, PRL 48, 291
+    (1982)) on D, 3d^2 + 1 columns and 8d + 1 rows (difference_visibility).
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
-        return local_visibility_max_entangled(d)
+        return local_visibility_max_entangled(d), None
     check_visibility_lp_dimension(d)
-    return difference_visibility(_ideal_differences(d, branch))
+    D = difference_distribution(_branch_state(d, branch).amplitudes[:: d + 1])
+    return difference_visibility(D), D[:, Scenario.keyX - 1, Scenario.keyY - 1]
 
 
-def _key_differences(d: int, branch: str) -> np.ndarray:
-    """D(k|keyX,keyY) of the branch's ideal table."""
-    return _ideal_differences(d, branch)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+def local_visibility(d: int, branch: str) -> float:
+    """Largest visibility V_L at which the branch's mixed table is still local:
+    2/I_d^max on the analytic branch, one visibility LP on the LP branches
+    (see _resource)."""
+    return _resource(d, branch)[0]
 
 
 def _ec_differences(d: int, V: float, key: np.ndarray) -> float:
@@ -165,20 +159,29 @@ def _ec_differences(d: int, V: float, key: np.ndarray) -> float:
     return float(-(mixed * np.log(mixed / total)).sum() / log(d))
 
 
-def _rate_terms(d, V, VL, key=None):
+def _rate_terms(d, V, VL, key):
     """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point.
-    Elementwise: d, V and V_L are scalars or 1-D arrays of one length. key is
-    None on the analytic branch; on the LP branches it is the key-setting
-    difference distribution (_key_differences) of d, or for arrays one per
-    element. Unchecked: the public entry points check d and V."""
+    Elementwise over 1-D arrays d and V of one length; V_L is a scalar or such
+    an array. key is None on the analytic branch; on the LP branches it holds
+    one key-setting difference distribution D_key (see _resource) per element.
+    Unchecked: the public entry points check d and V."""
     qL = np.minimum(1.0, (1.0 - V) / (1.0 - VL))  # 1 below V_L
     if key is None:
         ec = _ec_isotropic(d, V)
-    elif np.ndim(V):
-        ec = np.array([_ec_differences(*args) for args in zip(d.tolist(), V.tolist(), key)])
     else:
-        ec = _ec_differences(d, V, key)
+        ec = np.array([_ec_differences(*args) for args in zip(d.tolist(), V.tolist(), key)])
     return qL, 1.0 - qL, ec
+
+
+def _keyrate_points(d: int, Vs: list, branch: str) -> list[KeyRatePoint]:
+    """keyrate_point at every visibility of Vs, from one _resource call and one
+    _rate_terms call. Unchecked: the public entry points check d and Vs."""
+    VL, key = _resource(d, branch)
+    n = len(Vs)
+    terms = _rate_terms(np.full(n, d), np.array(Vs, dtype=float), VL,
+                        None if key is None else [key] * n)
+    return [KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
+            for V, qL, pa, ec in zip(Vs, *(t.tolist() for t in terms))]
 
 
 def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
@@ -193,10 +196,7 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     """
     d = _check_dimension(d)
     _check_visibility(V)
-    VL = local_visibility(d, branch)
-    key = None if branch == ANALYTIC_MAX_ENTANGLED else _key_differences(d, branch)
-    qL, pa, ec = map(float, _rate_terms(d, V, VL, key))
-    return KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
+    return _keyrate_points(d, [V], branch)[0]
 
 
 def _bisect(f, lo, hi, labels=None):
@@ -236,8 +236,9 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
     ds = [_check_dimension(d) for d in ds]
-    VL = np.array([local_visibility(d, branch) for d in ds], dtype=float)
-    key = None if branch == ANALYTIC_MAX_ENTANGLED else [_key_differences(d, branch) for d in ds]
+    resources = [_resource(d, branch) for d in ds]
+    VL = np.array([v for v, _ in resources], dtype=float)
+    key = None if branch == ANALYTIC_MAX_ENTANGLED else [k for _, k in resources]
     d_arr = np.array(ds, dtype=np.int64)
 
     def f(V):
@@ -267,11 +268,13 @@ def thread_count() -> int:
 
 def keyrate_curve(d: int, branch: str, v_min: float, v_max: float,
                   steps: int) -> list[KeyRatePoint]:
-    """Evaluate the branch on a uniform visibility grid, endpoints included."""
+    """keyrate_point on a uniform visibility grid, endpoints included, from
+    one V_L (one LP on the LP branches) per curve."""
+    d = _check_dimension(d)
     if not (0.0 <= v_min < v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
     grid = np.linspace(v_min, v_max, steps)
     grid[0], grid[-1] = v_min, v_max
-    return [keyrate_point(d, float(V), branch) for V in grid]
+    return _keyrate_points(d, grid.tolist(), branch)

@@ -30,10 +30,17 @@ def test_idmax_d2(capsys):
     assert diff <= 1e-10
 
 
-def test_idmax_rejects_d1(capsys):
-    code, _, err = run(["idmax", "--d", "1"], capsys)
+@pytest.mark.parametrize("d", ["1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["idmax"], ["vcrit"], ["vcrit", "--state", "cglmp"],
+    ["curve", "--v-min", "0.6", "--v-max", "1.0", "--steps", "5", "--out", os.devnull],
+    ["check-local", "--vtilde", "0.7"],
+], ids=["idmax", "vcrit-max", "vcrit-cglmp", "curve", "check-local"])
+def test_subcommands_reject_d_below_2(argv, d, capsys):
+    # each subcommand leaves the check of --d to the library call it makes
+    code, _, err = run([*argv, "--d", d], capsys)
     assert code == 1
-    assert "error" in err
+    assert f"d must be >= 2, got {d}" in err
 
 
 # ------------------------------------------------------------------- vcrit
@@ -421,10 +428,8 @@ def test_unknown_subcommand_is_usage_error(capsys):
 
 @pytest.fixture
 def lp_counter(monkeypatch):
-    """Record the A_eq shape of every linprog call from a cold start of every
-    cache on the LP path."""
-    keyrate.local_visibility.cache_clear()
-    keyrate._ideal_differences.cache_clear()
+    """Record the A_eq shape of every linprog call, from a cold strategy-matrix
+    cache (the only cache on the LP path)."""
     polytope._strategy_matrix.cache_clear()
     calls = []
     solve = polytope.linprog
@@ -466,6 +471,15 @@ def test_curve_tuned_state_solves_one_lp(lp_counter, tmp_path, capsys):
     assert code == 0
     assert len(target.read_text().strip().splitlines()) == 42
     assert len(lp_counter) == 1
+
+
+@pytest.mark.parametrize("argv, lps", [
+    (["table", "--d-min", "2", "--d-max", "7"], 6),  # one per vcrit_cglmp cell
+    (["table", "--state", "max", "--d-min", "2", "--d-max", "50"], 0),
+], ids=["both-d2-7", "max-d2-50"])
+def test_table_solves_one_lp_per_tuned_state_cell(lp_counter, argv, lps, capsys):
+    assert run(argv, capsys)[0] == 0
+    assert len(lp_counter) == lps
 
 
 def test_production_visibility_lp_enumerates_no_strategy(lp_counter, capsys):
@@ -517,3 +531,26 @@ def test_gated_tables_do_not_depend_on_thread_count():
     tables = outputs[0].decode().split(TABLE_HEADER + "\n")[1:]
     hashes = [hashlib.sha256((TABLE_HEADER + "\n" + t).encode()).hexdigest() for t in tables]
     assert hashes == list(GATED_TABLES.values())
+
+
+#: SHA-256 of the CSV that `curve` writes for each argument list (plus --out):
+#: tuned-state and analytic curves in dits, and a tuned-state curve in bits.
+GATED_CURVES = {
+    ("curve", "--d", "7", "--state", "cglmp", "--v-min", "0.6", "--v-max", "1.0",
+     "--steps", "41"):
+        "01a82e77a40ba17b97db713d8ce6ba0651df3a1353eb51060ff70f0d2561ab19",
+    ("curve", "--d", "3", "--state", "max", "--v-min", "0.8", "--v-max", "1.0",
+     "--steps", "41"):
+        "69bd4d74bb67a906365b0c0d3210996112cdfd77509ae7f3d4d7a46125780495",
+    ("curve", "--d", "3", "--state", "cglmp", "--v-min", "0.8", "--v-max", "1.0",
+     "--steps", "41", "--unit", "bits"):
+        "e818b8bdd897386e7c1a83a7b4bc3da3d57e4ee1d075f729b296ee9cbd2557e1",
+}
+
+
+@pytest.mark.parametrize("argv", list(GATED_CURVES), ids=["d7-cglmp", "d3-max", "d3-cglmp-bits"])
+def test_gated_curves_are_pinned(argv, tmp_path, capsys):
+    target = tmp_path / "curve.csv"
+    code, _, _ = run([*argv, "--out", str(target)], capsys)
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GATED_CURVES[argv]

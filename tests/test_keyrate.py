@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from diqkd_cc import (
     ANALYTIC_MAX_ENTANGLED,
+    BRANCHES,
     CATALAN,
     LP_CGLMP_STATE,
     LP_MAX_ENTANGLED,
@@ -226,6 +227,15 @@ def test_local_visibility_per_branch():
     assert tuned < local_visibility_max_entangled(3)
 
 
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_local_visibility_rejects_float_d_after_an_integer_call(branch):
+    # a warm call at d = 3 must not let 3.0 (equal and of equal hash) through
+    local_visibility(3, branch)
+    for d in (3.0, np.float64(3.0)):
+        with pytest.raises(TypeError, match="integer"):
+            local_visibility(d, branch)
+
+
 @pytest.mark.parametrize("branch", [LP_MAX_ENTANGLED, LP_CGLMP_STATE])
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
 def test_local_visibility_lp_matches_bell_violation(d, branch):
@@ -428,7 +438,19 @@ def test_curve_endpoints_and_monotonicity():
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
+@pytest.mark.parametrize("branch", BRANCHES)
+@pytest.mark.parametrize("d", [2, 3, 7])
+def test_curve_is_its_points(d, branch):
+    grid = np.linspace(0.6, 1.0, 41).tolist()
+    assert keyrate_curve(d, branch, 0.6, 1.0, 41) == [keyrate_point(d, V, branch) for V in grid]
+
+
 def test_curve_validates_arguments():
+    # d is checked first, before the grid arguments (here also invalid)
+    with pytest.raises(TypeError, match="integer"):
+        keyrate_curve(2.0, ANALYTIC_MAX_ENTANGLED, 0.9, 0.8, 1)
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        keyrate_curve(1, ANALYTIC_MAX_ENTANGLED, 0.9, 0.8, 1)
     with pytest.raises(ValueError):
         keyrate_curve(2, ANALYTIC_MAX_ENTANGLED, 0.9, 0.8, 5)
     with pytest.raises(ValueError):

@@ -227,7 +227,6 @@ def test_visibility_lp_runs_on_shift_classes(lp_shapes):
     # 6d difference rows, 2d consistency rows and the total-weight row;
     # 3d^2 response columns J_y(alpha, c) + the V column, + the pNL column
     # when one is given
-    keyrate.local_visibility.cache_clear()
     local_visibility(3, LP_CGLMP_STATE)
     pNL = _ideal_table(3, LP_CGLMP_STATE)
     local_residual(mix_with_white_noise(pNL, 0.9), pNL=pNL)
