@@ -9,8 +9,6 @@ from .scenario import (
     CorrelationTable,
     Scenario,
     ValidationReport,
-    k_shift_probability,
-    marginal,
     mix_with_white_noise,
     uniform_table,
     validate,

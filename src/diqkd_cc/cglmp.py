@@ -7,7 +7,7 @@ from math import fsum, pi
 
 import numpy as np
 
-from .scenario import CorrelationTable, _check_dimension, k_shift_probability
+from .scenario import CorrelationTable, _check_dimension, _differences
 
 #: Local-hidden-variable bound of the CGLMP expression.
 LOCAL_BOUND = 2.0
@@ -16,60 +16,56 @@ LOCAL_BOUND = 2.0
 CATALAN = 0.91596559417721901505
 
 
-def cglmp_value(t: CorrelationTable) -> float:
-    """I_d of the table at the two Bell settings of each party.
-
-    Sum over k = 0 .. [d/2]-1 with weight 1 - 2k/(d-1) of the eight
-    outcome-shift probabilities: four where the outcomes differ by +k (or the
-    role-swapped k+1) minus four where they differ the opposite way. For d=2
-    only k=0 contributes and the weight is 1.
-    """
-    d = t.scenario.d
-
-    def S(x: int, y: int, k: int) -> float:
-        return k_shift_probability(t, x, y, k % d)
-
-    total = 0.0
+def _cglmp_terms(d: int):
+    """The terms of I_d, one (w, shifts) per k = 0 .. [d/2]-1: the weight
+    w = 1 - 2k/(d-1) and the eight outcome-shift probabilities it multiplies,
+    as (x-1, y-1, (b - a) mod d, sign). Four have the outcomes differ by +k
+    (or the role-swapped k+1) and count +1, four differ the opposite way and
+    count -1. For d=2 only k=0 contributes and the weight is 1."""
     for k in range(d // 2):
         w = 1.0 - 2.0 * k / (d - 1)
-        total += w * (
-            S(1, 1, k)             # A_1 = B_1 + k
-            + S(2, 1, -(k + 1))    # B_1 = A_2 + k + 1
-            + S(2, 2, k)           # A_2 = B_2 + k
-            + S(1, 2, -k)          # B_2 = A_1 + k
-            - S(1, 1, -(k + 1))    # A_1 = B_1 - k - 1
-            - S(2, 1, k)           # B_1 = A_2 - k
-            - S(2, 2, -(k + 1))    # A_2 = B_2 - k - 1
-            - S(1, 2, k + 1)       # B_2 = A_1 - k - 1
-        )
+        yield w, [(x, y, shift % d, sign) for x, y, shift, sign in (
+            (0, 0, k, 1),             # A_1 = B_1 + k
+            (1, 0, -(k + 1), 1),      # B_1 = A_2 + k + 1
+            (1, 1, k, 1),             # A_2 = B_2 + k
+            (0, 1, -k, 1),            # B_2 = A_1 + k
+            (0, 0, -(k + 1), -1),     # A_1 = B_1 - k - 1
+            (1, 0, k, -1),            # B_1 = A_2 - k
+            (1, 1, -(k + 1), -1),     # A_2 = B_2 - k - 1
+            (0, 1, k + 1, -1),        # B_2 = A_1 - k - 1
+        )]
+
+
+def cglmp_value(t: CorrelationTable) -> float:
+    """I_d of the table at the two Bell settings of each party: the terms of
+    _cglmp_terms on its difference distribution D(k|x,y)."""
+    D = _differences(t)
+    total = 0.0
+    for w, shifts in _cglmp_terms(t.scenario.d):
+        inner = 0.0
+        for x, y, k, sign in shifts:
+            inner += sign * float(D[k, x, y])
+        total += w * inner
     return total
+
+
+def _difference_coefficients(d: int) -> np.ndarray:
+    """C[k, x-1, y-1]: the coefficient of D(k|x,y) in I_d over the two Bell
+    settings, the terms of _cglmp_terms added up per difference class."""
+    C = np.zeros((d, 2, 2))
+    for w, shifts in _cglmp_terms(d):
+        for x, y, k, sign in shifts:
+            C[k, x, y] += sign * w
+    return C
 
 
 def cglmp_coefficients(d: int) -> np.ndarray:
     """c[a-1, b-1, x-1, y-1] over the two Bell settings so that
-    I_d = sum_{a,b,x,y} c(a,b,x,y) p(a,b|x,y).
-
-    Same term bookkeeping as cglmp_value, pushed onto the (b - a) mod d
-    difference classes of each setting pair.
-    """
+    I_d = sum_{a,b,x,y} c(a,b,x,y) p(a,b|x,y): c(a, b, x, y) = C((b - a) mod d, x, y)
+    of _difference_coefficients."""
     d = _check_dimension(d)
-    c = np.zeros((d, d, 2, 2))
     j = np.arange(d)
-
-    def add(x, y, k, w):
-        c[j, (j + k) % d, x, y] += w
-
-    for k in range(d // 2):
-        w = 1.0 - 2.0 * k / (d - 1)
-        add(0, 0, k, +w)
-        add(1, 0, -(k + 1), +w)
-        add(1, 1, k, +w)
-        add(0, 1, -k, +w)
-        add(0, 0, -(k + 1), -w)
-        add(1, 0, k, -w)
-        add(1, 1, -(k + 1), -w)
-        add(0, 1, k + 1, -w)
-    return c
+    return _difference_coefficients(d)[(j[None, :] - j[:, None]) % d]
 
 
 def idmax_closed_form(d: int) -> float:

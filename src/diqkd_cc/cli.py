@@ -64,9 +64,11 @@ def _vcrit_column(ds: range, branch: str, column: str) -> list[str]:
     the visibility-LP limit is left empty, with a note on stderr."""
     solvable = []
     for d in ds:
-        if branch != keyrate.ANALYTIC_MAX_ENTANGLED and d > polytope.VISIBILITY_LP_MAX_D:
-            print(f"d = {d} exceeds the visibility-LP limit d <= {polytope.VISIBILITY_LP_MAX_D}; "
-                  f"leaving the {column} cell empty", file=sys.stderr)
+        try:
+            if branch != keyrate.ANALYTIC_MAX_ENTANGLED:
+                polytope.check_visibility_lp_dimension(d)
+        except polytope.VisibilityLPTooLarge as exc:
+            print(f"{exc}; leaving the {column} cell empty", file=sys.stderr)
         else:
             solvable.append(d)
     cells = {r.d: f"{r.v_crit:.12g}" for r in keyrate.critical_visibilities(solvable, branch)}

@@ -18,7 +18,7 @@ from .quantum import (
     difference_distribution,
     maximally_entangled_state,
 )
-from .scenario import CorrelationTable, Scenario, _check_dimension
+from .scenario import CorrelationTable, Scenario, _check_dimension, _check_visibility
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
@@ -56,23 +56,22 @@ class CriticalVisibility:
     residual: float  # r_ub at the returned visibility
 
 
-def _check_visibility(V: float) -> None:
-    if not 0.0 <= V <= 1.0:
-        raise ValueError(f"visibility must lie in [0,1], got {V}")
-
-
-def _log_d(value: float, d: int) -> float:
-    return log(value) / log(d)
+def _entropy(p: np.ndarray, given, d: int) -> float:
+    """-sum p log_d(p / given) over the cells where p and given (a scalar or
+    an array of p's shape) both exceed ZERO_PROBABILITY, so 0 log 0 := 0.
+    With given = 1 this is the Shannon entropy of p, with Bob's marginal the
+    conditional entropy H(A|B)."""
+    keep = p > ZERO_PROBABILITY
+    if np.ndim(given):
+        keep &= given > ZERO_PROBABILITY
+        given = given[keep]
+    kept = p[keep]
+    return float(-(kept * np.log(kept / given)).sum() / log(d))
 
 
 def shannon_base_d(p, d: int) -> float:
     """Shannon entropy in base-d units with 0 log 0 := 0."""
-    d = _check_dimension(d)
-    total = 0.0
-    for v in np.asarray(p, dtype=float).ravel():
-        if v > ZERO_PROBABILITY:
-            total -= v * _log_d(v, d)
-    return total
+    return _entropy(np.asarray(p, dtype=float), 1.0, _check_dimension(d))
 
 
 def ec_term_isotropic(d: int, V: float) -> float:
@@ -100,10 +99,7 @@ def ec_term_general(t: CorrelationTable) -> float:
     """
     s = t.scenario
     joint = t.p[:, :, s.keyX - 1, s.keyY - 1]
-    pB = np.broadcast_to(joint.sum(axis=0), joint.shape)
-    keep = (joint > ZERO_PROBABILITY) & (pB > ZERO_PROBABILITY)
-    pab = joint[keep]
-    return float(-(pab * np.log(pab / pB[keep])).sum() / log(s.d))
+    return _entropy(joint, np.broadcast_to(joint.sum(axis=0), joint.shape), s.d)
 
 
 def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
@@ -147,18 +143,6 @@ def local_visibility(d: int, branch: str) -> float:
     return _resource(d, branch)[0]
 
 
-def _ec_differences(d: int, V: float, key: np.ndarray) -> float:
-    """H(A|B) of the mixed table at the key settings, from the ideal table's
-    key-setting difference distribution. The mixed table is shift-invariant,
-    so H(A|B) is the entropy of its difference distribution D_m; the log of
-    D_m / sum D_m (Bob's marginal over 1/d) keeps it exact where D_m is one
-    point."""
-    mixed = V * key + (1.0 - V) / d
-    total = mixed.sum()
-    mixed = mixed[mixed > ZERO_PROBABILITY]
-    return float(-(mixed * np.log(mixed / total)).sum() / log(d))
-
-
 def _rate_terms(d, V, VL, key):
     """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point.
     Elementwise over 1-D arrays d and V of one length; V_L is a scalar or such
@@ -169,7 +153,11 @@ def _rate_terms(d, V, VL, key):
     if key is None:
         ec = _ec_isotropic(d, V)
     else:
-        ec = np.array([_ec_differences(*args) for args in zip(d.tolist(), V.tolist(), key)])
+        # H(A|B) of the shift-invariant mixed table is the entropy of its
+        # difference distribution D_m; the log of D_m / sum D_m (Bob's marginal
+        # over 1/d) keeps it exact where D_m is one point
+        mixed = [v * k + (1.0 - v) / n for n, v, k in zip(d.tolist(), V.tolist(), key)]
+        ec = np.array([_entropy(m, m.sum(), n) for n, m in zip(d.tolist(), mixed)])
     return qL, 1.0 - qL, ec
 
 

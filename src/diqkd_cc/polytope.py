@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import linprog
 
-from .scenario import CorrelationTable, Scenario, _check_dimension
+from .scenario import CorrelationTable, Scenario, _check_dimension, _differences
 
 #: Refuse to enumerate more deterministic strategies than this. Only the
 #: per-point CC decomposition (max_local_weight) and enumerate_strategies
@@ -136,13 +136,12 @@ def _table_vector(t: CorrelationTable) -> np.ndarray:
 
 
 def _difference_vector(t: CorrelationTable) -> np.ndarray | None:
-    """D(c|x,y) = sum_a p(a, a+c mod d|x,y) in (c,x,y) row order, or None if
-    t is not shift-invariant (it then has no exact difference-row form)."""
+    """D(c|x,y) of _differences in (c,x,y) row order, or None if t is not
+    shift-invariant (it then has no exact difference-row form)."""
     d = t.scenario.d
-    a = np.arange(d)[:, None]
-    shifted = t.p[a, (a + np.arange(d)) % d]  # shifted[a, c] = p(a, a+c)
-    D = shifted.sum(axis=0)
-    if np.max(np.abs(shifted - D / d)) > _SHIFT_INVARIANCE_TOL:
+    D = _differences(t)
+    a = np.arange(d)
+    if np.max(np.abs(t.p - D[(a[None, :] - a[:, None]) % d] / d)) > _SHIFT_INVARIANCE_TOL:
         return None
     return D.reshape(-1)
 

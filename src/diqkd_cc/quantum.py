@@ -18,7 +18,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .cglmp import cglmp_coefficients
+from .cglmp import _difference_coefficients, cglmp_coefficients
 from .scenario import CorrelationTable, Scenario, _check_dimension
 
 ORTHONORMALITY_TOL = 1e-12
@@ -30,9 +30,9 @@ EIGENPAIR_RESIDUAL_TOL = 1e-9
 #: d = 2..10; see tests).
 CGLMP_ALICE_PHASES = (0.0, -0.5)
 CGLMP_BOB_PHASES = (0.25, -0.25)
-#: Bob's key setting reuses Alice's keyX phase, which makes the key-setting
-#: table perfectly correlated.
-_BOB_KEY_PHASE = CGLMP_ALICE_PHASES[Scenario.keyX - 1]
+#: Bob's phases for all three of his settings: his key setting reuses Alice's
+#: keyX phase, which makes the key-setting table perfectly correlated.
+_BOB_PHASES = CGLMP_BOB_PHASES + (CGLMP_ALICE_PHASES[Scenario.keyX - 1],)
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,13 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        d = _check_dimension(self.d)
+        object.__setattr__(self, "d", d)
         amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amp.shape != (self.d * self.d,):
-            raise ValueError(f"amplitude vector must have length d^2={self.d**2}, got {amp.shape}")
+        if amp.shape != (d * d,):
+            raise ValueError(f"amplitude vector must have length d^2={d**2}, got {amp.shape}")
         norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1):.3e}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
@@ -62,7 +64,7 @@ class MeasurementBasis:
     def __post_init__(self):
         gram = self.vectors @ self.vectors.conj().T
         dev = float(np.max(np.abs(gram - np.eye(self.d))))
-        if dev > ORTHONORMALITY_TOL:
+        if not dev <= ORTHONORMALITY_TOL:
             raise ValueError(f"basis not orthonormal: residual {dev:.3e}")
 
 
@@ -74,7 +76,7 @@ class BellOperatorMatrix:
 
     def __post_init__(self):
         dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if dev > HERMITICITY_TOL:
+        if not dev <= HERMITICITY_TOL:
             raise ValueError(f"operator not Hermitian: residual {dev:.3e}")
 
 
@@ -92,12 +94,18 @@ def fourier_basis(d: int, phase: float, conjugate: bool = False) -> MeasurementB
     return MeasurementBasis(d=d, phase=phase, vectors=vectors)
 
 
+def _diagonal_state(c: np.ndarray) -> PureState:
+    """sum_q c_q |qq> from its d amplitudes c_q."""
+    d = len(c)
+    amp = np.zeros(d * d, dtype=complex)
+    amp[:: d + 1] = c
+    return PureState(d=d, amplitudes=amp)
+
+
 def maximally_entangled_state(d: int) -> PureState:
     """(1/sqrt d) sum_q |qq>."""
     d = _check_dimension(d)
-    amp = np.zeros(d * d, dtype=complex)
-    amp[:: d + 1] = 1.0 / sqrt(d)
-    return PureState(d=d, amplitudes=amp)
+    return _diagonal_state(np.full(d, 1.0 / sqrt(d)))
 
 
 def cglmp_born_table(state: PureState) -> CorrelationTable:
@@ -108,21 +116,29 @@ def cglmp_born_table(state: PureState) -> CorrelationTable:
     p = np.empty((d, d, scenario.nA, scenario.nB))
     for x, alpha in enumerate(CGLMP_ALICE_PHASES):
         Va = fourier_basis(d, alpha).vectors
-        for y, beta in enumerate(CGLMP_BOB_PHASES + (_BOB_KEY_PHASE,)):
+        for y, beta in enumerate(_BOB_PHASES):
             Vb = fourier_basis(d, beta, conjugate=True).vectors
             amplitude = Va.conj() @ Psi @ Vb.conj().T   # (a, b)
             p[:, :, x, y] = np.abs(amplitude) ** 2
     return CorrelationTable(scenario, p)
 
 
-def max_eigenpair(op: BellOperatorMatrix) -> tuple[float, PureState]:
-    """Largest eigenvalue and a unit eigenvector of the Hermitian operator."""
-    eigenvalues, eigenvectors = np.linalg.eigh(op.matrix)
+def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue and a unit eigenvector of a Hermitian matrix;
+    ArithmeticError unless the eigenpair residual is within
+    EIGENPAIR_RESIDUAL_TOL."""
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     lam = float(eigenvalues[-1])
     v = eigenvectors[:, -1]
-    residual = float(np.linalg.norm(op.matrix @ v - lam * v))
-    if residual > EIGENPAIR_RESIDUAL_TOL:
+    residual = float(np.linalg.norm(matrix @ v - lam * v))
+    if not residual <= EIGENPAIR_RESIDUAL_TOL:
         raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
+    return lam, v
+
+
+def max_eigenpair(op: BellOperatorMatrix) -> tuple[float, PureState]:
+    """Largest eigenvalue and a unit eigenvector of the Hermitian operator."""
+    lam, v = _top_eigenpair(op.matrix)
     return lam, PureState(d=op.d, amplitudes=v)
 
 
@@ -148,14 +164,23 @@ def cglmp_bell_operator(d: int) -> BellOperatorMatrix:
     return BellOperatorMatrix(d=d, matrix=B, coefficients=coefficients)
 
 
+def _phase_grid(d: int) -> np.ndarray:
+    """k + phiB_y - phiA_x at [k, x-1, y-1] over Alice's two settings and all
+    three of Bob's (the key setting last)."""
+    return (np.arange(d)[:, None, None]
+            + np.array(_BOB_PHASES)[None, None, :]
+            - np.array(CGLMP_ALICE_PHASES)[None, :, None])
+
+
 def _cglmp_toeplitz(d: int) -> np.ndarray:
     """The CGLMP operator on span{|qq>}: the d x d Hermitian Toeplitz matrix
-    B[q, q'] = (1/d) sum_{x,y,k} C_xy(k) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
-    over the two Bell settings, C_xy(k) = c(1, 1 + k, x, y), built from its
-    entries at q - q' = 0 .. d-1 (the others are their conjugates)."""
-    C = cglmp_coefficients(d)[0]                              # (k, x, y)
-    shift = (np.arange(d)[:, None, None] + np.array(CGLMP_BOB_PHASES)[None, None, :]
-             - np.array(CGLMP_ALICE_PHASES)[None, :, None])   # (k, x, y)
+    B[q, q'] = (1/d) sum_{x,y,k} C(k|x,y) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
+    over the two Bell settings, with the coefficients C(k|x,y) of the
+    difference distribution in I_d, built from its entries at q - q' = 0 .. d-1
+    (the others are their conjugates)."""
+    d = _check_dimension(d)
+    C = _difference_coefficients(d)                           # (k, x, y)
+    shift = _phase_grid(d)[:, :, :2]
     m = np.arange(d)
     entries = np.exp(-2j * pi / d * np.multiply.outer(m, shift)).reshape(d, -1) @ C.ravel() / d
     entries[0] = entries[0].real
@@ -167,21 +192,11 @@ def cglmp_state(d: int) -> PureState:
     """Eigenstate of the CGLMP Bell operator with the largest violation.
 
     It lies in span{|qq>}, where the operator is the d x d Toeplitz matrix of
-    _cglmp_toeplitz; its top eigenvector is the amplitude vector c_q, with the
-    same residual check as max_eigenpair. Coincides with the maximally
-    entangled state at d=2; strictly beats it for d >= 3 (non-uniform Schmidt
-    spectrum).
+    _cglmp_toeplitz; its top eigenvector is the amplitude vector c_q.
+    Coincides with the maximally entangled state at d=2; strictly beats it
+    for d >= 3 (non-uniform Schmidt spectrum).
     """
-    B = _cglmp_toeplitz(d)
-    eigenvalues, eigenvectors = np.linalg.eigh(B)
-    lam = float(eigenvalues[-1])
-    c = eigenvectors[:, -1]
-    residual = float(np.linalg.norm(B @ c - lam * c))
-    if residual > EIGENPAIR_RESIDUAL_TOL:
-        raise ArithmeticError(f"eigenpair residual {residual:.3e} exceeds {EIGENPAIR_RESIDUAL_TOL}")
-    amp = np.zeros(d * d, dtype=complex)
-    amp[:: d + 1] = c
-    return PureState(d=d, amplitudes=amp)
+    return _diagonal_state(_top_eigenpair(_cglmp_toeplitz(d))[1])
 
 
 def difference_distribution(c: np.ndarray) -> np.ndarray:
@@ -191,8 +206,5 @@ def difference_distribution(c: np.ndarray) -> np.ndarray:
     The table itself is p(a, b|x, y) = D(b - a|x, y)/d."""
     c = np.asarray(c, dtype=complex)
     d = c.size
-    shift = (np.arange(d)[:, None, None]
-             + np.array(CGLMP_BOB_PHASES + (_BOB_KEY_PHASE,))[None, None, :]
-             - np.array(CGLMP_ALICE_PHASES)[None, :, None])   # (k, x, y)
-    amplitude = np.exp(2j * pi / d * np.multiply.outer(shift, np.arange(d))) @ c
+    amplitude = np.exp(2j * pi / d * np.multiply.outer(_phase_grid(d), np.arange(d))) @ c
     return np.abs(amplitude) ** 2 / d

@@ -1,4 +1,5 @@
-"""Bell-scenario indexing, correlation tables, noise mixing and derived statistics.
+"""Bell-scenario indexing, correlation tables, noise mixing and the outcome
+difference distribution.
 
 Conventions: outcomes a, b and settings x, y are 1-based in every public
 interface (internal storage is 0-based). A correlation table holds the dense
@@ -15,8 +16,6 @@ import numpy as np
 POSITIVITY_TOL = 1e-12
 NORMALIZATION_TOL = 1e-9
 NO_SIGNALING_TOL = 1e-9
-# marginal() refuses tables whose marginals actually depend on the far setting
-MARGINAL_NO_SIGNALING_TOL = 1e-6
 
 
 def _check_dimension(d) -> int:
@@ -59,9 +58,9 @@ class CorrelationTable:
     def __post_init__(self):
         s = self.scenario
         expected = (s.d, s.d, s.nA, s.nB)
-        if self.p.shape != expected:
-            raise ValueError(f"table shape {self.p.shape} != {expected}")
         arr = np.ascontiguousarray(self.p, dtype=float)
+        if arr.shape != expected:
+            raise ValueError(f"table shape {arr.shape} != {expected}")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 
@@ -116,39 +115,23 @@ def uniform_table(scenario: Scenario) -> CorrelationTable:
     return CorrelationTable(scenario, p)
 
 
-def mix_with_white_noise(pNL: CorrelationTable, V: float) -> CorrelationTable:
-    """V * pNL + (1-V)/d^2 on every entry."""
+def _check_visibility(V: float) -> None:
     if not 0.0 <= V <= 1.0:
         raise ValueError(f"visibility must lie in [0,1], got {V}")
+
+
+def mix_with_white_noise(pNL: CorrelationTable, V: float) -> CorrelationTable:
+    """V * pNL + (1-V)/d^2 on every entry."""
+    _check_visibility(V)
     d = pNL.scenario.d
     return CorrelationTable(pNL.scenario, V * pNL.p + (1.0 - V) / d**2)
 
 
-def k_shift_probability(t: CorrelationTable, x: int, y: int, k: int) -> float:
-    """P(outcomes differ by k mod d) = sum_j p(j, j+k mod d | x, y)."""
+def _differences(t: CorrelationTable) -> np.ndarray:
+    """D[k, x-1, y-1] = sum_j p(j, j+k mod d | x, y): the probability that the
+    outcomes differ by k mod d. Each cell is summed over j along a contiguous
+    axis, so it is the 1-D sum of its d terms to the last bit."""
     d = t.scenario.d
-    if not (1 <= x <= t.scenario.nA and 1 <= y <= t.scenario.nB):
-        raise IndexError(f"setting ({x},{y}) out of range")
-    if not 0 <= k <= d - 1:
-        raise IndexError(f"k={k} outside [0, {d - 1}]")
     j = np.arange(d)
-    return float(t.p[j, (j + k) % d, x - 1, y - 1].sum())
-
-
-def marginal(t: CorrelationTable, party: str, setting: int) -> np.ndarray:
-    """Single-party outcome distribution; errors if it depends on the far setting."""
-    if party not in ("A", "B"):
-        raise ValueError(f"party must be 'A' or 'B', got {party!r}")
-    s = t.scenario
-    if party == "A":
-        if not 1 <= setting <= s.nA:
-            raise IndexError(f"Alice setting {setting} outside [1, {s.nA}]")
-        m = t.p[:, :, setting - 1, :].sum(axis=1)          # (a, y)
-    else:
-        if not 1 <= setting <= s.nB:
-            raise IndexError(f"Bob setting {setting} outside [1, {s.nB}]")
-        m = t.p[:, :, :, setting - 1].sum(axis=0)          # (b, x)
-    dev = float(np.max(np.abs(m - m.mean(axis=1, keepdims=True))))
-    if dev > MARGINAL_NO_SIGNALING_TOL:
-        raise ValueError(f"no-signaling violated for party {party}: residual {dev:.3e}")
-    return m.mean(axis=1)
+    shifted = t.p[j, (j[:, None] + j) % d]          # (k, j, x, y)
+    return np.ascontiguousarray(np.moveaxis(shifted, 1, -1)).sum(axis=-1)

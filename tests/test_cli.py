@@ -407,13 +407,13 @@ def test_package_exports_are_pinned():
         "cglmp_coefficients", "cglmp_state", "cglmp_value", "critical_visibilities",
         "critical_visibility", "ec_term_general", "ec_term_isotropic", "enumerate_strategies",
         "fourier_basis", "idmax_asymptotic", "idmax_closed_form", "is_local",
-        "k_shift_probability", "keyrate_curve", "keyrate_point", "local_residual",
-        "local_visibility", "local_visibility_max_entangled", "marginal", "max_eigenpair",
+        "keyrate_curve", "keyrate_point", "local_residual",
+        "local_visibility", "local_visibility_max_entangled", "max_eigenpair",
         "max_local_weight", "maximally_entangled_state", "mix_with_white_noise", "pa_term_cc",
         "shannon_base_d", "strategy_from_id", "strategy_table", "uniform_table", "validate",
         "vcrit_asymptotic",
     ]
-    assert len(names) == 52
+    assert len(names) == 50
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -554,3 +554,25 @@ def test_gated_curves_are_pinned(argv, tmp_path, capsys):
     code, _, _ = run([*argv, "--out", str(target)], capsys)
     assert code == 0
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GATED_CURVES[argv]
+
+
+#: SHA-256 of the concatenated stdout of each group of commands: `idmax` for
+#: d = 2..40, and `check-local` for d in {2, 3, 5, 10, 31} at vtilde = 0.5,
+#: 0.69, 0.69615 (just below V_L(3) = 0.6961524...), 0.73 and 1.
+GATED_LINES = {
+    tuple(("idmax", "--d", str(d)) for d in range(2, 41)):
+        "6c012baa49a7613172f7e02faf81f1153b183ebaf012ba76f694d03eb7ea6ccc",
+    tuple(("check-local", "--d", str(d), "--vtilde", v)
+          for d in (2, 3, 5, 10, 31) for v in ("0.5", "0.69", "0.69615", "0.73", "1")):
+        "e89ee7d63af672b3f68c00b9e7a3b0235c1e0b2c84757864f7eaaa1ba9ab3ddc",
+}
+
+
+@pytest.mark.parametrize("argvs", list(GATED_LINES), ids=["idmax-d2-40", "check-local"])
+def test_gated_lines_are_pinned(argvs, capsys):
+    lines = []
+    for argv in argvs:
+        code, out, _ = run(list(argv), capsys)
+        assert code == 0
+        lines.append(out)
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == GATED_LINES[argvs]

@@ -20,13 +20,13 @@ from diqkd_cc import (
     maximally_entangled_state,
     validate,
 )
-from diqkd_cc.polytope import _difference_vector
 from diqkd_cc.quantum import (
     CGLMP_ALICE_PHASES,
     CGLMP_BOB_PHASES,
     _cglmp_toeplitz,
     difference_distribution,
 )
+from diqkd_cc.scenario import _differences
 
 OP3 = cglmp_bell_operator(3)
 
@@ -81,6 +81,26 @@ def test_pure_state_requires_normalization():
 def test_pure_state_requires_d_squared_amplitudes():
     with pytest.raises(ValueError):
         PureState(d=3, amplitudes=np.zeros(4, dtype=complex))
+
+
+def test_pure_state_requires_integral_d():
+    amp = np.array([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(TypeError, match="integer"):
+        PureState(d=2.0, amplitudes=amp)
+    with pytest.raises(ValueError, match=">= 2"):
+        PureState(d=True, amplitudes=amp[:1])
+    assert type(PureState(d=np.int64(2), amplitudes=amp).d) is int
+
+
+def test_validation_rejects_nan():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="normalized"):
+        PureState(d=2, amplitudes=np.array([nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="orthonormal"):
+        fourier_basis(3, nan)
+    with pytest.raises(ValueError, match="Hermitian"):
+        BellOperatorMatrix(d=2, matrix=np.full((4, 4), nan, dtype=complex),
+                           coefficients=np.zeros((2, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -256,5 +276,5 @@ def test_difference_distribution_matches_born_table(d):
     for state in (cglmp_state(d), maximally_entangled_state(d)):
         D = difference_distribution(state.amplitudes[:: d + 1])
         assert D.shape == (d, 2, 3)
-        reference = _difference_vector(cglmp_born_table(state))
-        assert np.max(np.abs(D.reshape(-1) - reference)) <= 1e-14
+        reference = _differences(cglmp_born_table(state))
+        assert np.max(np.abs(D - reference)) <= 1e-14

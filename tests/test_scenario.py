@@ -1,5 +1,5 @@
-"""Correlation-table container: validation, noise mixing, outcome-shift
-statistics and marginals."""
+"""Correlation-table container: validation, noise mixing, the outcome
+difference distribution and marginals."""
 import dataclasses
 
 import numpy as np
@@ -11,13 +11,12 @@ from diqkd_cc import (
     CorrelationTable,
     Scenario,
     cglmp_born_table,
-    k_shift_probability,
-    marginal,
     maximally_entangled_state,
     mix_with_white_noise,
     uniform_table,
     validate,
 )
+from diqkd_cc.scenario import _differences
 
 ME2 = cglmp_born_table(maximally_entangled_state(2))
 ME3 = cglmp_born_table(maximally_entangled_state(3))
@@ -80,6 +79,14 @@ def test_table_is_read_only():
     t = uniform_table(Scenario(d=2))
     with pytest.raises(ValueError):
         t.p[0, 0, 0, 0] = 1.0
+
+
+def test_table_accepts_an_array_like():
+    p = uniform_table(Scenario(d=2)).p.tolist()
+    t = CorrelationTable(Scenario(d=2), p)
+    assert t.p.dtype == float and t.p.shape == (2, 2, 2, 3)
+    with pytest.raises(ValueError, match="shape"):
+        CorrelationTable(Scenario(d=3), p)
 
 
 # -------------------------------------------------------------- validation
@@ -168,61 +175,47 @@ def test_mix_preserves_validity(seed, V):
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_uniform_shift_probability(d):
-    t = uniform_table(Scenario(d=d))
-    for k in range(d):
-        assert k_shift_probability(t, 1, 2, k) == pytest.approx(1.0 / d, abs=1e-12)
+    D = _differences(uniform_table(Scenario(d=d)))
+    assert D.shape == (d, 2, 3)
+    assert np.allclose(D, 1.0 / d, atol=1e-12)
 
 
 def test_key_settings_perfectly_correlated():
     s = ME3.scenario
-    assert k_shift_probability(ME3, s.keyX, s.keyY, 0) == pytest.approx(1.0, abs=1e-12)
+    assert _differences(ME3)[0, s.keyX - 1, s.keyY - 1] == pytest.approx(1.0, abs=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 2), st.integers(1, 3))
 def test_shift_probabilities_partition(seed, x, y):
     t = _product_table(seed, d=4)
-    total = sum(k_shift_probability(t, x, y, k) for k in range(4))
-    assert total == pytest.approx(1.0, abs=1e-9)
+    assert _differences(t)[:, x - 1, y - 1].sum() == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("x,y,k", [(0, 1, 0), (3, 1, 0), (1, 4, 0), (1, 1, -1), (1, 1, 3)])
-def test_shift_index_errors(x, y, k):
-    with pytest.raises(IndexError):
-        k_shift_probability(ME3, x, y, k)
+@pytest.mark.parametrize("d", [2, 3, 7, 16])
+def test_differences_are_the_per_cell_sums(d):
+    # each cell is the 1-D sum of its d terms, to the last bit
+    t = _product_table(d, d=d)
+    D = _differences(t)
+    j = np.arange(d)
+    for k in range(d):
+        for x in range(2):
+            for y in range(3):
+                assert D[k, x, y] == t.p[j, (j + k) % d, x, y].sum()
 
 
 # --------------------------------------------------------------- marginals
 
+def _marginals(t: CorrelationTable):
+    """Alice's p(a|x, y) as [a, x, y] and Bob's p(b|x, y) as [b, x, y]."""
+    return t.p.sum(axis=1), t.p.sum(axis=0)
+
+
 def test_uniform_marginals():
-    t = uniform_table(Scenario(d=4))
-    assert np.allclose(marginal(t, "A", 1), 0.25, atol=1e-15)
-    assert np.allclose(marginal(t, "B", 3), 0.25, atol=1e-15)
+    for m in _marginals(uniform_table(Scenario(d=4))):
+        assert np.allclose(m, 0.25, atol=1e-15)
 
 
 @pytest.mark.parametrize("t", [ME2, ME3], ids=["d2", "d3"])
 def test_born_marginals_are_uniform(t):
-    d = t.scenario.d
-    for x in range(1, t.scenario.nA + 1):
-        assert np.allclose(marginal(t, "A", x), 1.0 / d, atol=1e-9)
-    for y in range(1, t.scenario.nB + 1):
-        assert np.allclose(marginal(t, "B", y), 1.0 / d, atol=1e-9)
-
-
-def test_marginal_rejects_signaling_table():
-    s = Scenario(d=2)
-    p = np.zeros((2, 2, s.nA, s.nB))
-    for y in range(s.nB):
-        pA = np.array([1.0, 0.0]) if y == 0 else np.array([0.5, 0.5])
-        for x in range(s.nA):
-            p[:, :, x, y] = np.outer(pA, [0.5, 0.5])
-    with pytest.raises(ValueError, match="no-signaling"):
-        marginal(CorrelationTable(s, p), "A", 1)
-
-
-def test_marginal_argument_errors():
-    with pytest.raises(ValueError):
-        marginal(ME2, "C", 1)
-    with pytest.raises(IndexError):
-        marginal(ME2, "A", 3)
-    with pytest.raises(IndexError):
-        marginal(ME2, "B", 0)
+    for m in _marginals(t):
+        assert np.allclose(m, 1.0 / t.scenario.d, atol=1e-9)
