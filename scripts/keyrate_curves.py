@@ -2,8 +2,8 @@
 
 Writes one CSV and one SVG per (d, branch) into --outdir with the `curve`
 subcommand and prints where each curve crosses zero. The analytic branch is
-closed-form; the tuned-state branch solves one LP per curve, for its local
-visibility.
+closed-form; the tuned-state branch takes its local visibility from one
+eigensolve per curve.
 
 Usage: python scripts/keyrate_curves.py [--outdir results] [--steps 41]
 """

@@ -1,6 +1,7 @@
 """Recompute the critical-visibility table and compare against the reference
-values (analytic branch for the maximally entangled state, LP branch for the
-tuned state). Prints a per-cell report; nonzero exit if any cell is off.
+values (closed form 2/I_d^max for the maximally entangled state, the top
+Toeplitz eigenvalue for the tuned state). Prints a per-cell report; nonzero
+exit if any cell is off.
 
 Usage: python scripts/reproduce_table.py [--d-max 8] [--out table.csv]
 """
@@ -40,9 +41,7 @@ def main():
     print(f"{'d':>2}  {'vcrit_max':>12}  {'ref':>8}  {'vcrit_cglmp':>12}  {'ref':>8}")
     for line in csv.getvalue().splitlines()[1:]:
         d, v_max, v_cglmp = line.split(",")
-        d, v_max = int(d), float(v_max)
-        # the tuned-state cell is empty above the visibility-LP limit
-        v_cglmp = float(v_cglmp) if v_cglmp else float("nan")
+        d, v_max, v_cglmp = int(d), float(v_max), float(v_cglmp)
         ref = REFERENCE.get(d)
         if ref is not None:
             worst = max(worst, abs(v_max - ref[0]), abs(v_cglmp - ref[1]))

@@ -25,8 +25,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-#: The state fixes the method: closed form for the maximally entangled state,
-#: one local-polytope LP for the tuned state.
+#: The state fixes the method: closed form 2/I_d^max for the maximally
+#: entangled state, 2/lambda_max of the Toeplitz CGLMP operator for the tuned
+#: state. The tuned state's branch label and vcrit's method=lp are historical:
+#: the visibility LP now certifies that value in the tests.
 BRANCH_OF_STATE = {"max": keyrate.ANALYTIC_MAX_ENTANGLED, "cglmp": keyrate.LP_CGLMP_STATE}
 
 
@@ -59,28 +61,16 @@ def cmd_vcrit(args) -> int:
     return 0
 
 
-def _vcrit_column(ds: range, branch: str, column: str) -> list[str]:
-    """One table column from one critical_visibilities call. An LP cell above
-    the visibility-LP limit is left empty, with a note on stderr."""
-    solvable = []
-    for d in ds:
-        try:
-            if branch != keyrate.ANALYTIC_MAX_ENTANGLED:
-                polytope.check_visibility_lp_dimension(d)
-        except polytope.VisibilityLPTooLarge as exc:
-            print(f"{exc}; leaving the {column} cell empty", file=sys.stderr)
-        else:
-            solvable.append(d)
-    cells = {r.d: f"{r.v_crit:.12g}" for r in keyrate.critical_visibilities(solvable, branch)}
-    return [cells.get(d, "") for d in ds]
+def _vcrit_column(ds: range, branch: str) -> list[str]:
+    """One table column from one critical_visibilities call."""
+    return [f"{r.v_crit:.12g}" for r in keyrate.critical_visibilities(ds, branch)]
 
 
 def cmd_table(args) -> int:
     if args.d_min < 2 or args.d_max < args.d_min:
         raise ValueError(f"need 2 <= d-min <= d-max, got [{args.d_min}, {args.d_max}]")
     ds = range(args.d_min, args.d_max + 1)
-    columns = [_vcrit_column(ds, branch, f"vcrit_{state}")
-               if args.state in (state, "both") else [""] * len(ds)
+    columns = [_vcrit_column(ds, branch) if args.state in (state, "both") else [""] * len(ds)
                for state, branch in BRANCH_OF_STATE.items()]
     lines = [TABLE_HEADER, *(",".join([str(d), *cells]) for d, *cells in zip(ds, *columns))]
     _write_text(args.out, "\n".join(lines) + "\n")

@@ -10,11 +10,14 @@ from math import log, pi
 
 import numpy as np
 
-from .cglmp import CATALAN, local_visibility_max_entangled
+from .cglmp import CATALAN, LOCAL_BOUND, local_visibility_max_entangled
 from .polytope import check_visibility_lp_dimension, difference_visibility
 from .quantum import (
     PureState,
+    _cglmp_toeplitz,
+    _top_eigenpair,
     cglmp_state,
+    check_tuned_state_dimension,
     difference_distribution,
     maximally_entangled_state,
 )
@@ -123,23 +126,38 @@ def _resource(d: int, branch: str) -> tuple[float, np.ndarray | None]:
     mixed table is still local, and the ideal table's key-setting difference
     distribution D(k|keyX,keyY) (None on the analytic branch).
 
-    Analytic branch: V_L = 2/I_d^max. LP branches: d is checked against
-    VISIBILITY_LP_MAX_D before the state sum_q c_q |qq> is built; D(k|x,y)
-    comes from its amplitudes c_q (quantum.difference_distribution), and V_L
-    from one visibility LP over Alice's outcome pairs (Fine, PRL 48, 291
-    (1982)) on D, 3d^2 + 1 columns and 8d + 1 rows (difference_visibility).
+    Off the analytic branch the state is sum_q c_q |qq>, and D(k|x,y) comes
+    from its amplitudes c_q (quantum.difference_distribution).
+
+    Analytic branch: V_L = 2/I_d^max. Tuned state: one eigensolve of the
+    d x d Toeplitz CGLMP operator (d held to TUNED_STATE_MAX_D) gives both
+    c_q and the top eigenvalue lambda_max, the state's CGLMP value, and
+    V_L = 2/lambda_max. CGLMP is a Bell inequality with local bound 2 and
+    white noise scores 0, so V_L <= 2/lambda_max for every table; the
+    visibility LP attains it, with the CGLMP functional as its dual (the
+    tests certify this for d = 2..32 and 48). LP_MAX_ENTANGLED: d is checked
+    against VISIBILITY_LP_MAX_D, and V_L comes from one visibility LP over
+    Alice's outcome pairs (Fine, PRL 48, 291 (1982)) on D, 3d^2 + 1 columns
+    and 8d + 1 rows (difference_visibility).
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d), None
-    check_visibility_lp_dimension(d)
-    D = difference_distribution(_branch_state(d, branch).amplitudes[:: d + 1])
-    return difference_visibility(D), D[:, Scenario.keyX - 1, Scenario.keyY - 1]
+    if branch == LP_CGLMP_STATE:
+        lam, c = _top_eigenpair(_cglmp_toeplitz(d))
+        D = difference_distribution(c)
+        VL = LOCAL_BOUND / lam
+    else:
+        check_visibility_lp_dimension(d)
+        D = difference_distribution(_branch_state(d, branch).amplitudes[:: d + 1])
+        VL = difference_visibility(D)
+    return VL, D[:, Scenario.keyX - 1, Scenario.keyY - 1]
 
 
 def local_visibility(d: int, branch: str) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local:
-    2/I_d^max on the analytic branch, one visibility LP on the LP branches
-    (see _resource)."""
+    2/I_d^max on the analytic branch, 2/lambda_max of the Toeplitz CGLMP
+    operator for the tuned state, one visibility LP on LP_MAX_ENTANGLED (see
+    _resource)."""
     return _resource(d, branch)[0]
 
 
@@ -219,11 +237,13 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     One elementwise bisection (width 1e-8) advances all brackets together;
     r_ub is monotone and changes sign on each. Every d gets the midpoints,
     and so the result, of its own scalar bisection: critical_visibility(d)
-    is the one-element case.
+    is the one-element case. On the tuned-state branch every d is held to
+    TUNED_STATE_MAX_D before the first eigensolve.
     """
     if branch not in BRANCHES:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    ds = [_check_dimension(d) for d in ds]
+    check = check_tuned_state_dimension if branch == LP_CGLMP_STATE else _check_dimension
+    ds = [check(d) for d in ds]
     resources = [_resource(d, branch) for d in ds]
     VL = np.array([v for v, _ in resources], dtype=float)
     key = None if branch == ANALYTIC_MAX_ENTANGLED else [k for _, k in resources]
@@ -257,7 +277,8 @@ def thread_count() -> int:
 def keyrate_curve(d: int, branch: str, v_min: float, v_max: float,
                   steps: int) -> list[KeyRatePoint]:
     """keyrate_point on a uniform visibility grid, endpoints included, from
-    one V_L (one LP on the LP branches) per curve."""
+    one V_L per curve (one eigensolve for the tuned state, one LP on
+    LP_MAX_ENTANGLED)."""
     d = _check_dimension(d)
     if not (0.0 <= v_min < v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")

@@ -10,10 +10,16 @@ J_y(a1, a2, b) need only agree on their (a1, a2) marginal (Fine, PRL 48, 291
 (1982)). That is 3d^3 columns and 8d^2 + 1 rows. A table that depends on the
 outcomes only through b - a mod d is solved on its difference distribution
 with a1 fixed at 0 by the joint outcome shift (a, b) -> (a+k, b+k) (Rosset,
-Bancal & Gisin, arXiv:1404.1306): 3d^2 columns and 8d + 1 rows. The key-rate
-layer passes that difference distribution in directly (difference_visibility)
-and never forms the table; max_local_visibility finds it by testing the table
-for shift invariance. Both reach one solver.
+Bancal & Gisin, arXiv:1404.1306): 3d^2 columns and 8d + 1 rows.
+difference_visibility takes that difference distribution directly, and
+max_local_visibility finds it by testing the table for shift invariance. Both
+reach one solver.
+
+No LP is on the key-rate path of either state: the maximally entangled
+state's V_L is 2/I_d^max and the tuned state's is 2/lambda_max, the CGLMP
+local bound over its top Toeplitz eigenvalue. The LP serves check-local, the
+library's LP_MAX_ENTANGLED reference, and the tests, where its primal and its
+dual (the CGLMP functional) certify the tuned state's V_L.
 """
 from __future__ import annotations
 
@@ -33,8 +39,8 @@ from .scenario import CorrelationTable, Scenario, _check_dimension, _differences
 #: VISIBILITY_LP_MAX_D instead.
 STRATEGY_CAP = 10**6
 
-#: Largest d for which the key-rate layer and check-local solve the
-#: shift-form visibility LP (3d^2 + 1 columns, 8d + 1 rows). Its solve time
+#: Largest d for which check-local and the LP_MAX_ENTANGLED reference solve
+#: the shift-form visibility LP (3d^2 + 1 columns, 8d + 1 rows). Its solve time
 #: grows steeply and unevenly with d: on 2 cores the tuned-state LP takes
 #: 2.4 s at d = 64, 14 s at d = 128, 28 to 42 s for d = 136..144, and 20 to
 #: 70 s for d = 145..150.

@@ -5,8 +5,10 @@ Both states of the protocol have the form sum_q c_q |qq>, and everything the
 key-rate layer needs is computed from the d amplitudes c_q. The tuned state
 is the top eigenvector of the CGLMP operator restricted to span{|qq>}, a d x d
 Hermitian Toeplitz matrix (Acin, Durt, Gisin & Latorre, PRA 65, 052325
-(2002)), and its table enters only through the difference distribution
-D(k|x,y), computed from c in O(d^2). The d^2 x d^2 operator
+(2002)). Its top eigenvalue lambda_max is the state's CGLMP value, which
+gives the local visibility 2/lambda_max, and its table enters only through
+the difference distribution D(k|x,y), computed from c in O(d^2). The dense
+eigensolve bounds d: TUNED_STATE_MAX_D. The d^2 x d^2 operator
 (cglmp_bell_operator, max_eigenpair) and the full Born table remain as the
 reference they are tested against; the Born table also serves check-local
 and idmax.
@@ -24,6 +26,12 @@ from .scenario import CorrelationTable, Scenario, _check_dimension
 ORTHONORMALITY_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENPAIR_RESIDUAL_TOL = 1e-9
+
+#: Largest d for which the tuned state's d x d Toeplitz operator is built and
+#: eigensolved. The dense eigensolve grows as d^3 in time and d^2 in memory:
+#: on 2 cores `vcrit --d 1024 --state cglmp` takes 2.2 s (0.8 s of it
+#: start-up) and 304 MB peak, so d = 2048 would need about 15 s and 1 GB.
+TUNED_STATE_MAX_D = 1024
 
 #: Fourier phases maximizing I_d on the maximally entangled state for the two
 #: Bell settings of each party (validated against idmax_closed_form for
@@ -44,7 +52,8 @@ class PureState:
     def __post_init__(self):
         d = _check_dimension(self.d)
         object.__setattr__(self, "d", d)
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        # a copy, so that freezing it leaves the caller's array writable
+        amp = np.array(self.amplitudes, dtype=complex, order="C")
         if amp.shape != (d * d,):
             raise ValueError(f"amplitude vector must have length d^2={d**2}, got {amp.shape}")
         norm = float(np.linalg.norm(amp))
@@ -172,13 +181,24 @@ def _phase_grid(d: int) -> np.ndarray:
             - np.array(CGLMP_ALICE_PHASES)[None, :, None])
 
 
+def check_tuned_state_dimension(d) -> int:
+    """d as a Python int (TypeError or ValueError for a d that is not an
+    integer >= 2); ValueError if d > TUNED_STATE_MAX_D. Called before the
+    Toeplitz operator is built."""
+    d = _check_dimension(d)
+    if d > TUNED_STATE_MAX_D:
+        raise ValueError(f"d = {d} exceeds the tuned-state limit d <= {TUNED_STATE_MAX_D}")
+    return d
+
+
 def _cglmp_toeplitz(d: int) -> np.ndarray:
     """The CGLMP operator on span{|qq>}: the d x d Hermitian Toeplitz matrix
     B[q, q'] = (1/d) sum_{x,y,k} C(k|x,y) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
     over the two Bell settings, with the coefficients C(k|x,y) of the
     difference distribution in I_d, built from its entries at q - q' = 0 .. d-1
-    (the others are their conjugates)."""
-    d = _check_dimension(d)
+    (the others are their conjugates). Its top eigenvalue is the largest CGLMP
+    value of any state sum_q c_q |qq>; d is held to TUNED_STATE_MAX_D."""
+    d = check_tuned_state_dimension(d)
     C = _difference_coefficients(d)                           # (k, x, y)
     shift = _phase_grid(d)[:, :, :2]
     m = np.arange(d)

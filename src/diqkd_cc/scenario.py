@@ -58,7 +58,8 @@ class CorrelationTable:
     def __post_init__(self):
         s = self.scenario
         expected = (s.d, s.d, s.nA, s.nB)
-        arr = np.ascontiguousarray(self.p, dtype=float)
+        # a copy, so that freezing it leaves the caller's array writable
+        arr = np.array(self.p, dtype=float, order="C")
         if arr.shape != expected:
             raise ValueError(f"table shape {arr.shape} != {expected}")
         arr.setflags(write=False)

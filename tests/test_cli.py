@@ -142,31 +142,31 @@ def test_table_tuned_state_d16(capsys):
     assert err == ""
 
 
-def test_table_strategy_cap_skips_lp_column(monkeypatch, capsys):
-    # d = 32 fills the cglmp cell; past the visibility-LP limit it stays empty
+def test_table_fills_tuned_state_cells_past_the_lp_limit(capsys):
+    # the tuned state's V_L is an eigenvalue, so the visibility-LP limit no
+    # longer empties a vcrit_cglmp cell
     code, out, err = run(["table", "--d-min", "32", "--d-max", "32"], capsys)
     assert code == 0 and err == ""
     assert out == f"{TABLE_HEADER}\n32,0.788792313666,0.789370422166\n"
     d = polytope.VISIBILITY_LP_MAX_D + 1
     code, out, err = run(["table", "--d-min", str(d), "--d-max", str(d)], capsys)
-    assert code == 0
+    assert code == 0 and err == ""
     _, vmax, vcglmp = out.strip().splitlines()[1].split(",")
-    assert float(vmax) > 0.75
-    assert vcglmp == ""
-    assert err == (f"d = {d} exceeds the visibility-LP limit d <= {d - 1}; "
-                   "leaving the vcrit_cglmp cell empty\n")
-    # across the limit: the cglmp column is bisected for the solvable d only,
-    # and each skipped d gets its stderr line, in d order. The limit is
-    # lowered to 4 here: at the real one, d = 143 and 144 take 51 s of LP
-    code, full, _ = run(["table", "--d-min", "3", "--d-max", "6"], capsys)
-    assert code == 0
-    monkeypatch.setattr(polytope, "VISIBILITY_LP_MAX_D", 4)
-    code, out, err = run(["table", "--d-min", "3", "--d-max", "6"], capsys)
-    assert code == 0
-    rows = full.splitlines(keepends=True)
-    assert out == "".join(rows[:3] + [row.rsplit(",", 1)[0] + ",\n" for row in rows[3:]])
-    assert err == "".join(f"d = {d} exceeds the visibility-LP limit d <= 4; "
-                          "leaving the vcrit_cglmp cell empty\n" for d in (5, 6))
+    assert 0.75 < float(vcglmp) < float(vmax)
+
+
+def test_table_checks_tuned_state_limit_before_any_eigensolve(monkeypatch, capsys):
+    # every d of the column is checked before the first Toeplitz matrix
+    def refuse(d):
+        raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
+
+    monkeypatch.setattr(quantum, "_difference_coefficients", refuse)
+    limit = quantum.TUNED_STATE_MAX_D
+    code, out, err = run(["table", "--state", "cglmp", "--d-min", str(limit - 1),
+                          "--d-max", str(limit + 1)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: d = {limit + 1} exceeds the tuned-state limit d <= {limit}\n"
 
 
 # ------------------------------------------------------------------- curve
@@ -305,16 +305,25 @@ def test_check_local_checks_strategy_cap_before_building_table(monkeypatch, caps
         assert err == f"error: d = {d} exceeds the visibility-LP limit d <= {limit}\n"
 
 
-def test_vcrit_above_visibility_lp_limit_fails_fast(monkeypatch, capsys):
+def test_vcrit_above_tuned_state_limit_fails_fast(monkeypatch, capsys):
     def refuse(d):
-        raise AssertionError(f"tuned state built for d={d}")
+        raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(keyrate, "cglmp_state", refuse)
-    code, out, err = run(["vcrit", "--d", "2000", "--state", "cglmp"], capsys)
-    assert code == 1
-    assert out == ""
-    assert err == (f"error: d = 2000 exceeds the visibility-LP limit "
-                   f"d <= {polytope.VISIBILITY_LP_MAX_D}\n")
+    monkeypatch.setattr(quantum, "_difference_coefficients", refuse)
+    limit = quantum.TUNED_STATE_MAX_D
+    assert limit == 1024
+    for d in (limit + 1, 2000):
+        code, out, err = run(["vcrit", "--d", str(d), "--state", "cglmp"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: d = {d} exceeds the tuned-state limit d <= {limit}\n"
+
+
+def test_vcrit_tuned_state_runs_past_the_lp_limit(capsys):
+    d = polytope.VISIBILITY_LP_MAX_D + 1
+    code, out, err = run(["vcrit", "--d", str(d), "--state", "cglmp"], capsys)
+    assert code == 0 and err == ""
+    assert out == f"d={d} state=cglmp method=lp vcrit=0.77904\n"
 
 
 def test_memory_error_is_numerical_failure(monkeypatch, capsys):
@@ -442,54 +451,79 @@ def lp_counter(monkeypatch):
     return calls
 
 
-def test_vcrit_tuned_state_solves_one_lp(lp_counter, capsys):
+def test_vcrit_tuned_state_solves_no_lp(lp_counter, capsys):
     code, out, _ = run(["vcrit", "--d", "3", "--state", "cglmp"], capsys)
     assert code == 0
     assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"
-    assert len(lp_counter) == 1
+    assert lp_counter == []
 
 
 def test_tuned_state_runs_on_amplitudes_alone(lp_counter, monkeypatch, capsys):
-    # a cold vcrit builds neither the d^2 x d^2 operator nor a Born table:
-    # the d x d Toeplitz eigensolve gives c_q, and the LP and the rate read
-    # D(k|x,y) computed from c_q
+    # a cold vcrit builds neither the d^2 x d^2 operator nor a Born table and
+    # solves no LP: one d x d Toeplitz eigensolve gives c_q and lambda_max,
+    # V_L = 2/lambda_max, and the rate reads D(k|x,y) computed from c_q
     def refuse(*args):
-        raise AssertionError("d^2 x d^2 operator or Born table built")
+        raise AssertionError("d^2 x d^2 operator, Born table or visibility LP built")
 
     for name in ("cglmp_bell_operator", "max_eigenpair", "cglmp_born_table"):
         monkeypatch.setattr(quantum, name, refuse)
+    monkeypatch.setattr(keyrate, "difference_visibility", refuse)
+    eigensolves = []
+    solve = keyrate._top_eigenpair
+
+    def counted(matrix):
+        eigensolves.append(matrix.shape)
+        return solve(matrix)
+
+    monkeypatch.setattr(keyrate, "_top_eigenpair", counted)
     code, out, _ = run(["vcrit", "--d", "3", "--state", "cglmp"], capsys)
     assert code == 0
     assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"
-    assert lp_counter == [(25, 28)]
+    assert eigensolves == [(3, 3)]
+    assert lp_counter == []
 
 
-def test_curve_tuned_state_solves_one_lp(lp_counter, tmp_path, capsys):
+def test_curve_tuned_state_solves_no_lp(lp_counter, tmp_path, capsys):
     target = tmp_path / "curve.csv"
     code, _, _ = run(["curve", "--d", "3", "--state", "cglmp", "--v-min", "0.6",
                       "--v-max", "1.0", "--steps", "41", "--out", str(target)], capsys)
     assert code == 0
     assert len(target.read_text().strip().splitlines()) == 42
-    assert len(lp_counter) == 1
+    assert lp_counter == []
 
 
-@pytest.mark.parametrize("argv, lps", [
-    (["table", "--d-min", "2", "--d-max", "7"], 6),  # one per vcrit_cglmp cell
-    (["table", "--state", "max", "--d-min", "2", "--d-max", "50"], 0),
-], ids=["both-d2-7", "max-d2-50"])
-def test_table_solves_one_lp_per_tuned_state_cell(lp_counter, argv, lps, capsys):
-    assert run(argv, capsys)[0] == 0
-    assert len(lp_counter) == lps
+@pytest.mark.parametrize("argv", [
+    ["table", "--d-min", "2", "--d-max", "7"],
+    ["table", "--state", "max", "--d-min", "2", "--d-max", "50"],
+    ["table", "--state", "cglmp", "--d-min", "2", "--d-max", "160"],
+], ids=["both-d2-7", "max-d2-50", "cglmp-d2-160"])
+def test_table_solves_no_lp(lp_counter, argv, monkeypatch, capsys):
+    # one critical_visibilities call per column
+    columns = []
+    solve = keyrate.critical_visibilities
+
+    def recorded(ds, branch):
+        columns.append((ds, branch))
+        return solve(ds, branch)
+
+    monkeypatch.setattr(keyrate, "critical_visibilities", recorded)
+    code, out, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    ds = range(int(argv[-3]), int(argv[-1]) + 1)
+    assert len(out.splitlines()) == len(ds) + 1
+    state = argv[2] if argv[1] == "--state" else "both"
+    assert columns == [(ds, branch) for name, branch in cli.BRANCH_OF_STATE.items()
+                       if state in (name, "both")]
+    assert lp_counter == []
 
 
 def test_production_visibility_lp_enumerates_no_strategy(lp_counter, capsys):
-    # V_L and check-local solve the 8d + 1 row, 3d^2 + 1 column LP over
-    # Alice's outcome pairs; no strategy matrix is built
-    keyrate.local_visibility(10, keyrate.LP_CGLMP_STATE)
+    # check-local solves the 8d + 1 row, 3d^2 + 1 column LP over Alice's
+    # outcome pairs; no strategy matrix is built
     code, out, _ = run(["check-local", "--d", "10", "--vtilde", "0.69"], capsys)
     assert code == 0
     assert out.startswith("d=10 vtilde=0.69: nonlocal")
-    assert lp_counter == [(81, 301), (81, 301)]
+    assert lp_counter == [(81, 301)]
     assert polytope._strategy_matrix.cache_info().misses == 0
 
 

@@ -34,7 +34,7 @@ from diqkd_cc import (
     uniform_table,
     vcrit_asymptotic,
 )
-from diqkd_cc import keyrate, polytope
+from diqkd_cc import keyrate, quantum
 from diqkd_cc.keyrate import _bisect
 from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from diqkd_cc.scenario import Scenario
@@ -276,8 +276,9 @@ def _ulps(x: float, y: float) -> float:
 
 @pytest.mark.parametrize("d", [3, 8, 16, 24, 32])
 def test_tuned_state_visibility_is_the_cglmp_functional(d):
-    # the LP's dual is the CGLMP functional: V_L = 2 / I(pNL). The bound is
-    # the LP's own rounding (up to 12 ulp over d = 2..40), not the table's
+    # V_L = 2/lambda_max, and lambda_max is the CGLMP value I(pNL) of the
+    # state's Born table: they differ by the table's rounding (up to 12 ulp
+    # over d = 2..40)
     V_L = local_visibility(d, LP_CGLMP_STATE)
     assert _ulps(V_L, 2.0 / cglmp_value(cglmp_born_table(cglmp_state(d)))) <= 16
 
@@ -339,15 +340,28 @@ def test_critical_visibility_residual_is_keyrate_point_r_ub(d, branch):
     assert res.residual == keyrate_point(d, res.v_crit, branch).r_ub
 
 
-def test_strategy_cap_checked_before_tuned_state_is_built(monkeypatch):
-    # the visibility-LP limit on d, checked before any state is built
+def test_tuned_state_limit_checked_before_toeplitz_is_built(monkeypatch):
+    # d's type and the tuned-state limit are checked before any Toeplitz
+    # matrix is built, on every path that eigensolves the tuned state
     def unbuilt(d):
-        raise AssertionError(f"cglmp_state({d}) built above the visibility-LP limit")
+        raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(keyrate, "cglmp_state", unbuilt)
-    d = polytope.VISIBILITY_LP_MAX_D + 1
-    with pytest.raises(polytope.VisibilityLPTooLarge, match=f"d <= {d - 1}"):
-        critical_visibility(d, LP_CGLMP_STATE)
+    monkeypatch.setattr(quantum, "_difference_coefficients", unbuilt)
+    limit = quantum.TUNED_STATE_MAX_D
+    calls = [
+        lambda d: critical_visibility(d, LP_CGLMP_STATE),
+        lambda d: critical_visibilities([3, d], LP_CGLMP_STATE),
+        lambda d: local_visibility(d, LP_CGLMP_STATE),
+        lambda d: keyrate_point(d, 0.9, LP_CGLMP_STATE),
+        lambda d: keyrate_curve(d, LP_CGLMP_STATE, 0.8, 1.0, 3),
+        cglmp_state,
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"d = {limit + 1} exceeds the tuned-state "
+                                             f"limit d <= {limit}"):
+            call(limit + 1)
+        with pytest.raises(TypeError, match="integer"):
+            call(3.0)
 
 
 def _same_results(batch, ds, branch):
@@ -402,6 +416,19 @@ def test_critical_visibility_decreasing_and_bounded():
     vals = [critical_visibility(d).v_crit for d in range(2, 17)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(v > vcrit_asymptotic() for v in vals)
+
+
+def test_tuned_state_falls_below_max_entangled_at_d69():
+    # beyond the paper's d <= 8: the tuned state needs a higher visibility than
+    # the maximally entangled one up to d = 68 and a lower one from d = 69 on
+    # (Zohren & Gill, PRL 100, 120406 (2008) for CGLMP at large d). The gap at
+    # d = 69 is 200 bisection widths
+    tuned = critical_visibilities([68, 69], LP_CGLMP_STATE)
+    maxent = critical_visibilities([68, 69])
+    gap = [t.v_crit - m.v_crit for t, m in zip(tuned, maxent)]
+    assert gap[0] == pytest.approx(9.38e-6, abs=5e-8)
+    assert gap[1] == pytest.approx(-2.02e-6, abs=5e-8)
+    assert gap[0] > 100 * keyrate.BISECTION_WIDTH and gap[1] < -100 * keyrate.BISECTION_WIDTH
 
 
 # ----------------------------------------------------------- PA-zero point

@@ -30,6 +30,7 @@ from diqkd_cc import (
 from diqkd_cc import keyrate, polytope
 from diqkd_cc.polytope import LP_FEASIBILITY_TOL
 from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
+from diqkd_cc.scenario import _differences
 
 ME2 = cglmp_born_table(maximally_entangled_state(2))
 ME3 = cglmp_born_table(maximally_entangled_state(3))
@@ -227,8 +228,8 @@ def test_visibility_lp_runs_on_shift_classes(lp_shapes):
     # 6d difference rows, 2d consistency rows and the total-weight row;
     # 3d^2 response columns J_y(alpha, c) + the V column, + the pNL column
     # when one is given
-    local_visibility(3, LP_CGLMP_STATE)
     pNL = _ideal_table(3, LP_CGLMP_STATE)
+    polytope.difference_visibility(_differences(pNL))
     local_residual(mix_with_white_noise(pNL, 0.9), pNL=pNL)
     assert lp_shapes == [(25, 28), (25, 29)]
 

@@ -92,6 +92,16 @@ def test_pure_state_requires_integral_d():
     assert type(PureState(d=np.int64(2), amplitudes=amp).d) is int
 
 
+def test_state_leaves_the_callers_array_writable():
+    # the state freezes its own copy, not the array it was given
+    amp = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    state = PureState(d=2, amplitudes=amp)
+    amp[0] = 0.0
+    assert state.amplitudes[0] == 1.0
+    with pytest.raises(ValueError):
+        state.amplitudes[0] = 0.0
+
+
 def test_validation_rejects_nan():
     nan = float("nan")
     with pytest.raises(ValueError, match="normalized"):

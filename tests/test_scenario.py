@@ -81,6 +81,14 @@ def test_table_is_read_only():
         t.p[0, 0, 0, 0] = 1.0
 
 
+def test_table_leaves_the_callers_array_writable():
+    # the table freezes its own copy, not the array it was given
+    p = np.full((2, 2, 2, 3), 0.25)
+    t = CorrelationTable(Scenario(2), p)
+    p[0, 0, 0, 0] = 1.0
+    assert t.p[0, 0, 0, 0] == 0.25
+
+
 def test_table_accepts_an_array_like():
     p = uniform_table(Scenario(d=2)).p.tolist()
     t = CorrelationTable(Scenario(d=2), p)

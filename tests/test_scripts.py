@@ -26,3 +26,18 @@ def test_script_runs(script, args, outputs, tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0
+
+
+def test_visibility_vs_dimension_finds_the_crossover(tmp_path):
+    # both columns, and the first d where the tuned state is the better resource
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "visibility_vs_dimension.py"),
+                           "--d-max", "70", "--outdir", str(tmp_path)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "vcrit_vs_d.csv").read_text().splitlines()
+    assert rows[0] == "d,vcrit_max,vcrit_cglmp,limit"
+    assert rows[2].startswith("3,0.820427375034,0.82101395195,")
+    assert len(rows) == 70
+    assert ("tuned state below the maximally entangled one from d = 69 "
+            "(vcrit_cglmp - vcrit_max = -2.02e-06)") in proc.stdout
