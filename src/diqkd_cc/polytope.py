@@ -15,11 +15,13 @@ difference_visibility takes that difference distribution directly, and
 max_local_visibility finds it by testing the table for shift invariance. Both
 reach one solver.
 
-No LP is on the key-rate path of either state: the maximally entangled
-state's V_L is 2/I_d^max and the tuned state's is 2/lambda_max, the CGLMP
-local bound over its top Toeplitz eigenvalue. The LP serves check-local, the
-library's LP_MAX_ENTANGLED reference, and the tests, where its primal and its
-dual (the CGLMP functional) certify the tuned state's V_L.
+No CLI command solves an LP: the maximally entangled state's V_L is
+2/I_d^max (which also gives check-local its slack) and the tuned state's is
+2/lambda_max, the CGLMP local bound over its top Toeplitz eigenvalue. The LP
+serves the library's LP_MAX_ENTANGLED reference and the tests, where its
+primal and its dual (the CGLMP functional) certify both states' V_L. scipy
+is imported inside the matrix builders and linprog, so importing this module
+loads none of it.
 """
 from __future__ import annotations
 
@@ -28,8 +30,6 @@ from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .scenario import CorrelationTable, Scenario, _check_dimension, _differences
 
@@ -39,11 +39,11 @@ from .scenario import CorrelationTable, Scenario, _check_dimension, _differences
 #: VISIBILITY_LP_MAX_D instead.
 STRATEGY_CAP = 10**6
 
-#: Largest d for which check-local and the LP_MAX_ENTANGLED reference solve
-#: the shift-form visibility LP (3d^2 + 1 columns, 8d + 1 rows). Its solve time
-#: grows steeply and unevenly with d: on 2 cores the tuned-state LP takes
-#: 2.4 s at d = 64, 14 s at d = 128, 28 to 42 s for d = 136..144, and 20 to
-#: 70 s for d = 145..150.
+#: Largest d for which the LP_MAX_ENTANGLED reference solves the shift-form
+#: visibility LP (3d^2 + 1 columns, 8d + 1 rows). Its solve time grows
+#: steeply and unevenly with d: on 2 cores the tuned-state LP takes 2.4 s at
+#: d = 64, 14 s at d = 128, 28 to 42 s for d = 136..144, and 20 to 70 s for
+#: d = 145..150. No CLI command solves it.
 VISIBILITY_LP_MAX_D = 144
 
 #: Per-constraint feasibility tolerance for all LP solves.
@@ -56,6 +56,14 @@ _LINPROG_OPTIONS = {
     "primal_feasibility_tolerance": LP_FEASIBILITY_TOL,
     "dual_feasibility_tolerance": LP_FEASIBILITY_TOL,
 }
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported at the first solve so that importing
+    this module (and every command that solves no LP) loads no scipy. The
+    LPs below call it by this module-level name."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 class StrategyCapExceeded(ValueError):
@@ -158,6 +166,8 @@ def _strategy_matrix(scenario: Scenario) -> sp.csc_array:
     tables. Built digit-wise over all ids at once; each column has exactly
     nA*nB nonzeros, so nothing dense is ever materialized.
     """
+    import scipy.sparse as sp
+
     check_strategy_cap(scenario)
     s = scenario
     ids = np.arange(s.n_strategies)
@@ -187,6 +197,8 @@ def _visibility_matrix(vectors: list[np.ndarray], d: int, shift: bool) -> sp.csc
     (a1, a2), sum_b J_1 - sum_b J_y = 0 for y = 2, then y = 3. The last row
     adds J_1 and the nonlocal weights to 1.
     """
+    import scipy.sparse as sp
+
     nA, nB = Scenario.nA, Scenario.nB
     n_pairs = (1 if shift else d) * d
     pair = np.repeat(np.arange(n_pairs), d)
@@ -245,6 +257,8 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable) -> CcDec
     The per-(x,y) normalization rows make the total-weight row redundant; it
     is kept and left to the solver's presolve.
     """
+    import scipy.sparse as sp
+
     if observed.scenario != pNL.scenario:
         raise ValueError("observed and nonlocal tables use different scenarios")
     scenario = observed.scenario

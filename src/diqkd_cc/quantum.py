@@ -10,8 +10,8 @@ gives the local visibility 2/lambda_max, and its table enters only through
 the difference distribution D(k|x,y), computed from c in O(d^2). The dense
 eigensolve bounds d: TUNED_STATE_MAX_D. The d^2 x d^2 operator
 (cglmp_bell_operator, max_eigenpair) and the full Born table remain as the
-reference they are tested against; the Born table also serves check-local
-and idmax.
+reference they are tested against; the Born table also serves idmax.
+check-local builds no table: it reads V_L = 2/I_d^max from the closed form.
 """
 from __future__ import annotations
 
@@ -29,8 +29,8 @@ EIGENPAIR_RESIDUAL_TOL = 1e-9
 
 #: Largest d for which the tuned state's d x d Toeplitz operator is built and
 #: eigensolved. The dense eigensolve grows as d^3 in time and d^2 in memory:
-#: on 2 cores `vcrit --d 1024 --state cglmp` takes 2.2 s (0.8 s of it
-#: start-up) and 304 MB peak, so d = 2048 would need about 15 s and 1 GB.
+#: on 2 cores `vcrit --d 1024 --state cglmp` takes about 2 s (0.25 s of it
+#: start-up) and 256 MB peak, so d = 2048 would need about 15 s and 1 GB.
 TUNED_STATE_MAX_D = 1024
 
 #: Fourier phases maximizing I_d on the maximally entangled state for the two

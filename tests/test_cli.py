@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import diqkd_cc
-from diqkd_cc import cglmp, cli, keyrate, polytope, quantum
+from diqkd_cc import cglmp, cli, keyrate, polytope, quantum, scenario
 from diqkd_cc.cli import TABLE_HEADER, main
 
 
@@ -275,34 +275,37 @@ def test_check_local_outside_polytope(capsys):
 
 
 def test_check_local_d16_slack_is_white_noise_deficit(monkeypatch, capsys):
-    # slack = 1 - V_L/vtilde with V_L = 2/I_16^max on the noise segment
-    results = []
-    solve = polytope.local_residual
+    # slack = 1 - V_L/vtilde on the noise segment, from one V_L = 2/I_16^max
+    calls = []
+    closed = cglmp.local_visibility_max_entangled
 
-    def recorded(t):
-        results.append(solve(t))
-        return results[-1]
+    def recorded(d):
+        calls.append((d, closed(d)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(polytope, "local_residual", recorded)
+    monkeypatch.setattr(cglmp, "local_visibility_max_entangled", recorded)
     code, out, _ = run(["check-local", "--d", "16", "--vtilde", "0.7"], capsys)
     assert code == 0
     assert out == "d=16 vtilde=0.7: nonlocal (slack 3.180e-02, tolerance 1e-09)\n"
-    [(_, slack)] = results
-    assert slack == pytest.approx(1.0 - (2.0 / cglmp.idmax_closed_form(16)) / 0.7, abs=1e-9)
+    assert calls == [(16, 2.0 / cglmp.idmax_closed_form(16))]
 
 
-def test_check_local_checks_strategy_cap_before_building_table(monkeypatch, capsys):
-    # the visibility-LP limit on d, checked before the Born table is built
-    def refuse(state):
-        raise AssertionError(f"Born table built for d={state.d}")
+def test_check_local_builds_no_table_past_the_lp_limit(lp_counter, monkeypatch, capsys):
+    # the closed form has no limit on d: no state, Born table or LP is built
+    def refuse(*args):
+        raise AssertionError("state, Born table or visibility LP built")
 
-    monkeypatch.setattr(cli.quantum, "cglmp_born_table", refuse)
-    limit = polytope.VISIBILITY_LP_MAX_D
-    for d in (limit + 1, 2000):
-        code, out, err = run(["check-local", "--d", str(d), "--vtilde", "0.7"], capsys)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: d = {d} exceeds the visibility-LP limit d <= {limit}\n"
+    for name in ("maximally_entangled_state", "cglmp_born_table"):
+        monkeypatch.setattr(quantum, name, refuse)
+    monkeypatch.setattr(polytope, "local_residual", refuse)
+    d = polytope.VISIBILITY_LP_MAX_D + 1
+    code, out, err = run(["check-local", "--d", str(d), "--vtilde", "0.7"], capsys)
+    assert code == 0 and err == ""
+    assert out == f"d={d} vtilde=0.7: nonlocal (slack 3.726e-02, tolerance 1e-09)\n"
+    code, out, err = run(["check-local", "--d", "2000", "--vtilde", "0.67"], capsys)
+    assert code == 0 and err == ""
+    assert out == "d=2000 vtilde=0.67: local (slack 0.000e+00, tolerance 1e-09)\n"
+    assert lp_counter == []
 
 
 def test_vcrit_above_tuned_state_limit_fails_fast(monkeypatch, capsys):
@@ -327,15 +330,27 @@ def test_vcrit_tuned_state_runs_past_the_lp_limit(capsys):
 
 
 def test_memory_error_is_numerical_failure(monkeypatch, capsys):
-    # HiGHS reports an exhausted allocator as MemoryError('std::bad_alloc')
-    def exhausted(t):
-        raise MemoryError("std::bad_alloc")
+    # numpy reports an allocation it cannot make as a MemoryError; check-local
+    # allocates the d/2 terms of I_d^max
+    def exhausted(d):
+        raise MemoryError("Unable to allocate an array")
 
-    monkeypatch.setattr(cli.polytope, "local_residual", exhausted)
+    monkeypatch.setattr(cglmp, "idmax_closed_form", exhausted)
     code, out, err = run(["check-local", "--d", "3", "--vtilde", "0.7"], capsys)
     assert code == 2
     assert out == ""
-    assert err == "numerical failure: std::bad_alloc\n"
+    assert err == "numerical failure: Unable to allocate an array\n"
+
+
+def test_check_local_just_above_v_local_is_nonlocal(capsys):
+    # within the LP's feasibility tolerance of V_L the LP printed slack 0 and
+    # "local"; the closed form prints the exact slack, and CGLMP is violated
+    vtilde = cglmp.local_visibility_max_entangled(2) * (1 + 2e-9)
+    code, out, _ = run(["check-local", "--d", "2", "--vtilde", repr(vtilde)], capsys)
+    assert code == 0
+    assert out == "d=2 vtilde=0.707107: nonlocal (slack 2.000e-09, tolerance 1e-09)\n"
+    ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(2))
+    assert cglmp.cglmp_value(scenario.mix_with_white_noise(ideal, vtilde)) > cglmp.LOCAL_BOUND
 
 
 def test_check_local_rejects_bad_visibility(capsys):
@@ -517,13 +532,13 @@ def test_table_solves_no_lp(lp_counter, argv, monkeypatch, capsys):
     assert lp_counter == []
 
 
-def test_production_visibility_lp_enumerates_no_strategy(lp_counter, capsys):
-    # check-local solves the 8d + 1 row, 3d^2 + 1 column LP over Alice's
-    # outcome pairs; no strategy matrix is built
+def test_check_local_solves_no_lp(lp_counter, capsys):
+    # check-local reads its slack from V_L = 2/I_d^max: no LP and no strategy
+    # matrix (the visibility LP is its oracle in the tests below)
     code, out, _ = run(["check-local", "--d", "10", "--vtilde", "0.69"], capsys)
     assert code == 0
-    assert out.startswith("d=10 vtilde=0.69: nonlocal")
-    assert lp_counter == [(81, 301)]
+    assert out == "d=10 vtilde=0.69: nonlocal (slack 1.403e-02, tolerance 1e-09)\n"
+    assert lp_counter == []
     assert polytope._strategy_matrix.cache_info().misses == 0
 
 
@@ -537,6 +552,39 @@ def test_table_output_does_not_depend_on_optimize_flag(tmp_path):
         outputs.append(target.read_bytes())
     assert outputs[0] == outputs[1]
     assert outputs[0].startswith(TABLE_HEADER.encode())
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["idmax", "--d", "4"], ["vcrit", "--d", "4"], ["vcrit", "--d", "3", "--state", "cglmp"],
+    ["table", "--d-min", "2", "--d-max", "5"],
+    ["curve", "--d", "3", "--v-min", "0.8", "--v-max", "1.0", "--steps", "5", "--out", "c.csv",
+     "--svg", "c.svg"],
+    ["check-local", "--d", "10", "--vtilde", "0.69"], ["asymptotic"],
+], ids=["import", "idmax", "vcrit-max", "vcrit-cglmp", "table", "curve-svg", "check-local",
+        "asymptotic"])
+def test_no_subcommand_imports_scipy(argv, tmp_path):
+    # scipy is imported only where an LP is built or solved, and no command
+    # solves one; each command runs in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    script = ("import sys\n"
+              "def scipy():\n"
+              "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+              "import diqkd_cc\n"
+              "assert not scipy(), scipy()\n"
+              "from diqkd_cc import cli\n"
+              "if sys.argv[1:]:\n"
+              "    assert cli.main(sys.argv[1:]) == 0\n"
+              "assert not scipy(), scipy()\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_names_are_kept():
+    # the benchmark reads the strategy-matrix cache through cli.polytope and
+    # records keyrate.thread_count
+    assert cli.polytope._strategy_matrix.cache_info().maxsize == 8
+    assert keyrate.thread_count() == 1
 
 
 #: SHA-256 of `table --d-min 2 --d-max 8` and `table --state cglmp --d-min 2
@@ -610,3 +658,28 @@ def test_gated_lines_are_pinned(argvs, capsys):
         assert code == 0
         lines.append(out)
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == GATED_LINES[argvs]
+
+
+#: (d, vtilde) of the gated check-local lines, then vtilde = 0, 0.02, ..., 1
+#: at a few d.
+CHECK_LOCAL_POINTS = sorted({(int(argv[2]), argv[4]) for argvs in GATED_LINES
+                             for argv in argvs if argv[0] == "check-local"}
+                            | {(d, f"{k / 50:g}") for d in (2, 3, 7, 16) for k in range(51)})
+
+
+@pytest.mark.parametrize("d", sorted({d for d, _ in CHECK_LOCAL_POINTS}))
+def test_check_local_agrees_with_the_visibility_lp(d, capsys):
+    # the LP is the oracle: its slack on the mixed Born table matches the
+    # printed closed form to the feasibility tolerance, with the same verdict
+    ideal = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
+    v_local = cglmp.local_visibility_max_entangled(d)
+    tol = polytope.LP_FEASIBILITY_TOL
+    for vtilde in (float(v) for e, v in CHECK_LOCAL_POINTS if e == d):
+        code, out, _ = run(["check-local", "--d", str(d), "--vtilde", repr(vtilde)], capsys)
+        assert code == 0
+        slack = max(0.0, 1.0 - v_local / vtilde) if vtilde else 0.0
+        verdict = "local" if slack <= tol else "nonlocal"
+        assert out == f"d={d} vtilde={vtilde:g}: {verdict} (slack {slack:.3e}, tolerance {tol:g})\n"
+        lp_local, lp_slack = polytope.local_residual(scenario.mix_with_white_noise(ideal, vtilde))
+        assert abs(lp_slack - slack) <= tol
+        assert lp_local == (verdict == "local")
