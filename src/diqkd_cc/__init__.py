@@ -5,6 +5,18 @@ closed-form key-rate bounds, and critical visibilities up to the d->infinity
 limit.
 """
 
+import os
+
+# One BLAS thread per process. When numpy loads, OpenBLAS starts one worker
+# per extra core, and the workers spin-wait for most of the process's life,
+# burning CPU time that no command uses: the largest matrix any command hands
+# BLAS is the tuned state's d x d real eigensolve, which at d = 1024 takes
+# 0.26 s on one thread against 0.21 s on two. setdefault keeps a value the
+# caller has set. The first submodule import below loads numpy, so this line
+# must stay above it; if numpy was imported before diqkd_cc, OpenBLAS has
+# already read the variable and this line has no effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .scenario import (
     CorrelationTable,
     Scenario,

@@ -4,8 +4,10 @@ operators, and Born-rule correlation tables used as the nonlocal resource.
 Both states of the protocol have the form sum_q c_q |qq>, and everything the
 key-rate layer needs is computed from the d amplitudes c_q. The tuned state
 is the top eigenvector of the CGLMP operator restricted to span{|qq>}, a d x d
-Hermitian Toeplitz matrix (Acin, Durt, Gisin & Latorre, PRA 65, 052325
-(2002)). Its top eigenvalue lambda_max is the state's CGLMP value, which
+Toeplitz matrix (Acin, Durt, Gisin & Latorre, PRA 65, 052325 (2002)). With
+the optimal Fourier phases its sine parts cancel in pairs, so it is real
+symmetric and is built from cosines and solved by a real eigensolve, and c_q
+is real. Its top eigenvalue lambda_max is the state's CGLMP value, which
 gives the local visibility 2/lambda_max, and its table enters only through
 the difference distribution D(k|x,y), computed from c in O(d^2). The dense
 eigensolve bounds d: TUNED_STATE_MAX_D. The d^2 x d^2 operator
@@ -20,7 +22,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .cglmp import _difference_coefficients, cglmp_coefficients
+from .cglmp import _cglmp_terms, cglmp_coefficients
 from .scenario import CorrelationTable, Scenario, _check_dimension
 
 ORTHONORMALITY_TOL = 1e-12
@@ -28,9 +30,12 @@ HERMITICITY_TOL = 1e-12
 EIGENPAIR_RESIDUAL_TOL = 1e-9
 
 #: Largest d for which the tuned state's d x d Toeplitz operator is built and
-#: eigensolved. The dense eigensolve grows as d^3 in time and d^2 in memory:
-#: on 2 cores `vcrit --d 1024 --state cglmp` takes about 2 s (0.25 s of it
-#: start-up) and 256 MB peak, so d = 2048 would need about 15 s and 1 GB.
+#: eigensolved. The dense real eigensolve grows as d^3 in time: it takes
+#: 0.26 s at d = 1024 on one core of a 2-core x86-64 machine, and
+#: `vcrit --d 1024 --state cglmp` takes about 1 s end to end there (0.25 s
+#: of it start-up) and 240 MB peak, most of which is the d x 6d complex phase
+#: grid of difference_distribution; d = 2048 would need about 4x that memory
+#: and 8x the eigensolve time.
 TUNED_STATE_MAX_D = 1024
 
 #: Fourier phases maximizing I_d on the maximally entangled state for the two
@@ -133,7 +138,8 @@ def cglmp_born_table(state: PureState) -> CorrelationTable:
 
 
 def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a unit eigenvector of a Hermitian matrix;
+    """Largest eigenvalue and a unit eigenvector of a real symmetric or a
+    Hermitian matrix (the eigenvector is real for a real matrix);
     ArithmeticError unless the eigenpair residual is within
     EIGENPAIR_RESIDUAL_TOL."""
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
@@ -192,27 +198,39 @@ def check_tuned_state_dimension(d) -> int:
 
 
 def _cglmp_toeplitz(d: int) -> np.ndarray:
-    """The CGLMP operator on span{|qq>}: the d x d Hermitian Toeplitz matrix
-    B[q, q'] = (1/d) sum_{x,y,k} C(k|x,y) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
-    over the two Bell settings, with the coefficients C(k|x,y) of the
-    difference distribution in I_d, built from its entries at q - q' = 0 .. d-1
-    (the others are their conjugates). Its top eigenvalue is the largest CGLMP
-    value of any state sum_q c_q |qq>; d is held to TUNED_STATE_MAX_D."""
+    """The CGLMP operator on span{|qq>}: the d x d real symmetric Toeplitz
+    matrix B[q, q'] = entries[|q - q'|] with
+
+        entries[m] = (4/d) sum_k w_k [cos(2 pi m (k + 1/4)/d) - cos(2 pi m (k + 3/4)/d)]
+
+    over the terms (w_k, k) of I_d. In general B[q, q'] is
+    (1/d) sum_{x,y,k} C(k|x,y) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
+    over the two Bell settings and the coefficients C(k|x,y) of the difference
+    distribution in I_d. With the phases (0, -1/2) for Alice and (1/4, -1/4)
+    for Bob, each term's four +1 shifts are +-(k + 1/4) and its four -1 shifts
+    are +-(k + 3/4), each sign twice, so the sines cancel in pairs and B is
+    real. The products m (k + 1/4) and m (k + 3/4) are exact multiples of 1/4
+    and are reduced mod d before the cosine, so its argument stays below
+    2 pi. Its top eigenvalue is the largest CGLMP value of any state
+    sum_q c_q |qq>; d is held to TUNED_STATE_MAX_D."""
     d = check_tuned_state_dimension(d)
-    C = _difference_coefficients(d)                           # (k, x, y)
-    shift = _phase_grid(d)[:, :, :2]
+    w = np.array([w for w, _ in _cglmp_terms(d)])
+    k = np.arange(d // 2)
     m = np.arange(d)
-    entries = np.exp(-2j * pi / d * np.multiply.outer(m, shift)).reshape(d, -1) @ C.ravel() / d
-    entries[0] = entries[0].real
-    lag = m[:, None] - m[None, :]
-    return np.where(lag >= 0, entries[np.abs(lag)], entries[np.abs(lag)].conj())
+
+    def cosines(offset: float) -> np.ndarray:
+        return np.cos(2 * pi / d * np.fmod(np.multiply.outer(m, k + offset), d))
+
+    entries = (cosines(0.25) - cosines(0.75)) @ w * (4 / d)
+    return entries[np.abs(m[:, None] - m[None, :])]
 
 
 def cglmp_state(d: int) -> PureState:
     """Eigenstate of the CGLMP Bell operator with the largest violation.
 
-    It lies in span{|qq>}, where the operator is the d x d Toeplitz matrix of
-    _cglmp_toeplitz; its top eigenvector is the amplitude vector c_q.
+    It lies in span{|qq>}, where the operator is the d x d real symmetric
+    Toeplitz matrix of _cglmp_toeplitz; its top eigenvector is the amplitude
+    vector c_q, real and of one sign.
     Coincides with the maximally entangled state at d=2; strictly beats it
     for d >= 3 (non-uniform Schmidt spectrum).
     """

@@ -160,7 +160,7 @@ def test_table_checks_tuned_state_limit_before_any_eigensolve(monkeypatch, capsy
     def refuse(d):
         raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(quantum, "_difference_coefficients", refuse)
+    monkeypatch.setattr(quantum, "_cglmp_terms", refuse)
     limit = quantum.TUNED_STATE_MAX_D
     code, out, err = run(["table", "--state", "cglmp", "--d-min", str(limit - 1),
                           "--d-max", str(limit + 1)], capsys)
@@ -312,7 +312,7 @@ def test_vcrit_above_tuned_state_limit_fails_fast(monkeypatch, capsys):
     def refuse(d):
         raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(quantum, "_difference_coefficients", refuse)
+    monkeypatch.setattr(quantum, "_cglmp_terms", refuse)
     limit = quantum.TUNED_STATE_MAX_D
     assert limit == 1024
     for d in (limit + 1, 2000):
@@ -578,6 +578,30 @@ def test_no_subcommand_imports_scipy(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", script, *argv], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("caller, expected", [(None, "1"), ("2", "2")],
+                         ids=["default", "caller-set"])
+def test_import_pins_openblas_to_one_thread(caller, expected):
+    # OPENBLAS_NUM_THREADS is read when numpy loads, so this needs a fresh
+    # interpreter; a value the caller set is kept
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    script = ("import os\n"
+              "import diqkd_cc\n"
+              "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    value, tasks = proc.stdout.split()
+    assert value == expected
+    if caller is None:
+        if tasks == "-1":
+            pytest.skip("no /proc/self/task to count the process's threads")
+        assert tasks == "1"
 
 
 def test_benchmark_names_are_kept():

@@ -346,7 +346,7 @@ def test_tuned_state_limit_checked_before_toeplitz_is_built(monkeypatch):
     def unbuilt(d):
         raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(quantum, "_difference_coefficients", unbuilt)
+    monkeypatch.setattr(quantum, "_cglmp_terms", unbuilt)
     limit = quantum.TUNED_STATE_MAX_D
     calls = [
         lambda d: critical_visibility(d, LP_CGLMP_STATE),
