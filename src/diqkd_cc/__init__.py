@@ -26,14 +26,11 @@ from .scenario import (
     validate,
 )
 from .quantum import (
-    BellOperatorMatrix,
     MeasurementBasis,
     PureState,
-    cglmp_bell_operator,
     cglmp_born_table,
     cglmp_state,
     fourier_basis,
-    max_eigenpair,
     maximally_entangled_state,
 )
 from .cglmp import (

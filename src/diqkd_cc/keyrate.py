@@ -6,20 +6,19 @@ All entropies are base-d ("dits"); multiply by log2(d) for bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi
+from math import log, pi, sqrt
 
 import numpy as np
 
 from .cglmp import CATALAN, LOCAL_BOUND, local_visibility_max_entangled
 from .polytope import check_visibility_lp_dimension, difference_visibility
 from .quantum import (
-    PureState,
     _cglmp_toeplitz,
+    _phase_grid,
+    _shift_power,
     _top_eigenpair,
-    cglmp_state,
     check_tuned_state_dimension,
     difference_distribution,
-    maximally_entangled_state,
 )
 from .scenario import CorrelationTable, Scenario, _check_dimension, _check_visibility
 
@@ -113,44 +112,48 @@ def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
     return qNL * shannon_base_d(alice_marginal_at_key, d)
 
 
-def _branch_state(d: int, branch: str) -> PureState:
+def _check_branch(d, branch: str) -> int:
+    """d as a Python int, held to the branch's own limit: VISIBILITY_LP_MAX_D
+    on LP_MAX_ENTANGLED, TUNED_STATE_MAX_D on LP_CGLMP_STATE, none on the
+    analytic branch. ValueError for an unknown branch, whatever d is. Every
+    public entry point calls it before any state, eigensolve or LP."""
+    if branch == ANALYTIC_MAX_ENTANGLED:
+        return _check_dimension(d)
+    if branch == LP_MAX_ENTANGLED:
+        return check_visibility_lp_dimension(d)
     if branch == LP_CGLMP_STATE:
-        return cglmp_state(d)
-    if branch in (LP_MAX_ENTANGLED, ANALYTIC_MAX_ENTANGLED):
-        return maximally_entangled_state(d)
+        return check_tuned_state_dimension(d)
     raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
 def _resource(d: int, branch: str) -> tuple[float, np.ndarray | None]:
     """(V_L, D_key) of the branch at d: the largest visibility at which its
     mixed table is still local, and the ideal table's key-setting difference
-    distribution D(k|keyX,keyY) (None on the analytic branch).
+    distribution D(k|keyX,keyY) (None on the analytic branch). Unchecked:
+    d and branch have passed _check_branch.
 
     Off the analytic branch the state is sum_q c_q |qq>, and D(k|x,y) comes
     from its amplitudes c_q (quantum.difference_distribution).
 
     Analytic branch: V_L = 2/I_d^max. Tuned state: one eigensolve of the
-    d x d Toeplitz CGLMP operator (d held to TUNED_STATE_MAX_D) gives both
-    c_q and the top eigenvalue lambda_max, the state's CGLMP value, and
-    V_L = 2/lambda_max. CGLMP is a Bell inequality with local bound 2 and
-    white noise scores 0, so V_L <= 2/lambda_max for every table; the
-    visibility LP attains it, with the CGLMP functional as its dual (the
-    tests certify this for d = 2..32 and 48). LP_MAX_ENTANGLED: d is checked
-    against VISIBILITY_LP_MAX_D, and V_L comes from one visibility LP over
-    Alice's outcome pairs (Fine, PRL 48, 291 (1982)) on D, 3d^2 + 1 columns
-    and 8d + 1 rows (difference_visibility).
+    d x d Toeplitz CGLMP operator gives both c_q and the top eigenvalue
+    lambda_max, the state's CGLMP value, and V_L = 2/lambda_max. CGLMP is a
+    Bell inequality with local bound 2 and white noise scores 0, so
+    V_L <= 2/lambda_max for every table; the visibility LP attains it, with
+    the CGLMP functional as its dual (the tests certify this for d = 2..32
+    and 48). Only D_key is evaluated, on the key-setting shifts of the phase
+    grid: d of its 6d columns. LP_MAX_ENTANGLED: V_L comes from one
+    visibility LP over Alice's outcome pairs (Fine, PRL 48, 291 (1982)) on
+    the whole D, 3d^2 + 1 columns and 8d + 1 rows (difference_visibility).
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return local_visibility_max_entangled(d), None
+    key = np.s_[:, Scenario.keyX - 1, Scenario.keyY - 1]
     if branch == LP_CGLMP_STATE:
         lam, c = _top_eigenpair(_cglmp_toeplitz(d))
-        D = difference_distribution(c)
-        VL = LOCAL_BOUND / lam
-    else:
-        check_visibility_lp_dimension(d)
-        D = difference_distribution(_branch_state(d, branch).amplitudes[:: d + 1])
-        VL = difference_visibility(D)
-    return VL, D[:, Scenario.keyX - 1, Scenario.keyY - 1]
+        return LOCAL_BOUND / lam, _shift_power(c, _phase_grid(d)[key])
+    D = difference_distribution(np.full(d, 1.0 / sqrt(d)))
+    return difference_visibility(D), D[key]
 
 
 def local_visibility(d: int, branch: str) -> float:
@@ -158,7 +161,7 @@ def local_visibility(d: int, branch: str) -> float:
     2/I_d^max on the analytic branch, 2/lambda_max of the Toeplitz CGLMP
     operator for the tuned state, one visibility LP on LP_MAX_ENTANGLED (see
     _resource)."""
-    return _resource(d, branch)[0]
+    return _resource(_check_branch(d, branch), branch)[0]
 
 
 def _rate_terms(d, V, VL, key):
@@ -200,7 +203,7 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     takes the isotropic EC term; the LP branches take H_d(V D_key + (1-V)/d)
     of the ideal table's key-setting difference distribution D_key.
     """
-    d = _check_dimension(d)
+    d = _check_branch(d, branch)
     _check_visibility(V)
     return _keyrate_points(d, [V], branch)[0]
 
@@ -237,13 +240,12 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     One elementwise bisection (width 1e-8) advances all brackets together;
     r_ub is monotone and changes sign on each. Every d gets the midpoints,
     and so the result, of its own scalar bisection: critical_visibility(d)
-    is the one-element case. On the tuned-state branch every d is held to
-    TUNED_STATE_MAX_D before the first eigensolve.
+    is the one-element case. Every d is held to the branch's limit
+    (_check_branch) before the first eigensolve or LP.
     """
-    if branch not in BRANCHES:
-        raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    check = check_tuned_state_dimension if branch == LP_CGLMP_STATE else _check_dimension
-    ds = [check(d) for d in ds]
+    ds = [_check_branch(d, branch) for d in ds]
+    if not ds:
+        _check_branch(2, branch)  # an empty column still rejects an unknown branch
     resources = [_resource(d, branch) for d in ds]
     VL = np.array([v for v, _ in resources], dtype=float)
     key = None if branch == ANALYTIC_MAX_ENTANGLED else [k for _, k in resources]
@@ -279,7 +281,7 @@ def keyrate_curve(d: int, branch: str, v_min: float, v_max: float,
     """keyrate_point on a uniform visibility grid, endpoints included, from
     one V_L per curve (one eigensolve for the tuned state, one LP on
     LP_MAX_ENTANGLED)."""
-    d = _check_dimension(d)
+    d = _check_branch(d, branch)
     if not (0.0 <= v_min < v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")
     if steps < 2:

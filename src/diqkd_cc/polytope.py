@@ -117,14 +117,15 @@ def check_strategy_cap(scenario: Scenario) -> None:
         raise StrategyCapExceeded(f"{n} strategies exceed the cap of {STRATEGY_CAP}")
 
 
-def check_visibility_lp_dimension(d: int) -> None:
-    """Raise VisibilityLPTooLarge if d > VISIBILITY_LP_MAX_D (and TypeError or
-    ValueError for a d that is not an integer >= 2). Called before a state,
-    a table or the LP is built."""
+def check_visibility_lp_dimension(d) -> int:
+    """d as a Python int (TypeError or ValueError for a d that is not an
+    integer >= 2); VisibilityLPTooLarge if d > VISIBILITY_LP_MAX_D. Called
+    before a state, a table or the LP is built."""
     d = _check_dimension(d)
     if d > VISIBILITY_LP_MAX_D:
         raise VisibilityLPTooLarge(
             f"d = {d} exceeds the visibility-LP limit d <= {VISIBILITY_LP_MAX_D}")
+    return d
 
 
 def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:

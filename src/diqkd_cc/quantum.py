@@ -1,5 +1,6 @@
-"""Complex linear-algebra layer: states, Fourier measurement bases, Bell
-operators, and Born-rule correlation tables used as the nonlocal resource.
+"""Complex linear-algebra layer: states, Fourier measurement bases, the
+tuned state's Toeplitz operator, and Born-rule correlation tables used as the
+nonlocal resource.
 
 Both states of the protocol have the form sum_q c_q |qq>, and everything the
 key-rate layer needs is computed from the d amplitudes c_q. The tuned state
@@ -9,11 +10,13 @@ the optimal Fourier phases its sine parts cancel in pairs, so it is real
 symmetric and is built from cosines and solved by a real eigensolve, and c_q
 is real. Its top eigenvalue lambda_max is the state's CGLMP value, which
 gives the local visibility 2/lambda_max, and its table enters only through
-the difference distribution D(k|x,y), computed from c in O(d^2). The dense
-eigensolve bounds d: TUNED_STATE_MAX_D. The d^2 x d^2 operator
-(cglmp_bell_operator, max_eigenpair) and the full Born table remain as the
-reference they are tested against; the Born table also serves idmax.
-check-local builds no table: it reads V_L = 2/I_d^max from the closed form.
+the difference distribution D(k|x,y), computed from c in O(d^2); the rate
+reads only its key-setting column, d of its 6d shifts, from the same kernel.
+The dense eigensolve bounds d: TUNED_STATE_MAX_D. The full Born table
+remains as the reference the difference distribution is tested against, and
+serves idmax; the d^2 x d^2 operator that the Toeplitz matrix restricts
+lives in the tests. check-local builds no table: it reads V_L = 2/I_d^max
+from the closed form.
 """
 from __future__ import annotations
 
@@ -22,19 +25,19 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .cglmp import _cglmp_terms, cglmp_coefficients
+from .cglmp import _cglmp_terms
 from .scenario import CorrelationTable, Scenario, _check_dimension
 
 ORTHONORMALITY_TOL = 1e-12
-HERMITICITY_TOL = 1e-12
 EIGENPAIR_RESIDUAL_TOL = 1e-9
 
 #: Largest d for which the tuned state's d x d Toeplitz operator is built and
 #: eigensolved. The dense real eigensolve grows as d^3 in time: it takes
-#: 0.26 s at d = 1024 on one core of a 2-core x86-64 machine, and
-#: `vcrit --d 1024 --state cglmp` takes about 1 s end to end there (0.25 s
-#: of it start-up) and 240 MB peak, most of which is the d x 6d complex phase
-#: grid of difference_distribution; d = 2048 would need about 4x that memory
+#: 0.28 to 0.29 s at d = 1024 on one core of a 2-core x86-64 machine, and
+#: `vcrit --d 1024 --state cglmp` takes 0.6 to 0.7 s end to end there (0.25 s
+#: of it start-up) and 80 MB peak: about 28 MB of interpreter and numpy, and
+#: a few d x d arrays (the operator, its eigenvectors, the exponentials of
+#: the key-setting column). d = 2048 would need about 4x the array memory
 #: and 8x the eigensolve time.
 TUNED_STATE_MAX_D = 1024
 
@@ -80,18 +83,6 @@ class MeasurementBasis:
         dev = float(np.max(np.abs(gram - np.eye(self.d))))
         if not dev <= ORTHONORMALITY_TOL:
             raise ValueError(f"basis not orthonormal: residual {dev:.3e}")
-
-
-@dataclass(frozen=True)
-class BellOperatorMatrix:
-    d: int
-    matrix: np.ndarray       # (d^2, d^2) Hermitian
-    coefficients: np.ndarray  # c(a,b,x,y) used to build it
-
-    def __post_init__(self):
-        dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if not dev <= HERMITICITY_TOL:
-            raise ValueError(f"operator not Hermitian: residual {dev:.3e}")
 
 
 def fourier_basis(d: int, phase: float, conjugate: bool = False) -> MeasurementBasis:
@@ -151,34 +142,6 @@ def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, v
 
 
-def max_eigenpair(op: BellOperatorMatrix) -> tuple[float, PureState]:
-    """Largest eigenvalue and a unit eigenvector of the Hermitian operator."""
-    lam, v = _top_eigenpair(op.matrix)
-    return lam, PureState(d=op.d, amplitudes=v)
-
-
-def cglmp_bell_operator(d: int) -> BellOperatorMatrix:
-    """sum_{a,b,x,y} c(a,b,x,y) P_{a|x} (x) P_{b|y} over the two Bell settings of
-    each party, with rank-1 Fourier projectors: the d^2 x d^2 CGLMP operator."""
-    coefficients = cglmp_coefficients(d)
-    B = np.zeros((d * d, d * d), dtype=complex)
-    for x, alpha in enumerate(CGLMP_ALICE_PHASES):
-        Va = fourier_basis(d, alpha).vectors
-        for y, beta in enumerate(CGLMP_BOB_PHASES):
-            Vb = fourier_basis(d, beta, conjugate=True).vectors
-            for a in range(d):
-                Pa = np.outer(Va[a], Va[a].conj())
-                row = coefficients[a, :, x, y]
-                if not row.any():
-                    continue
-                Pb_sum = np.zeros((d, d), dtype=complex)
-                for b in range(d):
-                    if row[b] != 0.0:
-                        Pb_sum += row[b] * np.outer(Vb[b], Vb[b].conj())
-                B += np.kron(Pa, Pb_sum)
-    return BellOperatorMatrix(d=d, matrix=B, coefficients=coefficients)
-
-
 def _phase_grid(d: int) -> np.ndarray:
     """k + phiB_y - phiA_x at [k, x-1, y-1] over Alice's two settings and all
     three of Bob's (the key setting last)."""
@@ -212,8 +175,7 @@ def _cglmp_toeplitz(d: int) -> np.ndarray:
     real. The products m (k + 1/4) and m (k + 3/4) are exact multiples of 1/4
     and are reduced mod d before the cosine, so its argument stays below
     2 pi. Its top eigenvalue is the largest CGLMP value of any state
-    sum_q c_q |qq>; d is held to TUNED_STATE_MAX_D."""
-    d = check_tuned_state_dimension(d)
+    sum_q c_q |qq>. Unchecked: callers hold d to TUNED_STATE_MAX_D first."""
     w = np.array([w for w, _ in _cglmp_terms(d)])
     k = np.arange(d // 2)
     m = np.arange(d)
@@ -234,6 +196,7 @@ def cglmp_state(d: int) -> PureState:
     Coincides with the maximally entangled state at d=2; strictly beats it
     for d >= 3 (non-uniform Schmidt spectrum).
     """
+    d = check_tuned_state_dimension(d)
     return _diagonal_state(_top_eigenpair(_cglmp_toeplitz(d))[1])
 
 
@@ -242,7 +205,14 @@ def difference_distribution(c: np.ndarray) -> np.ndarray:
     cglmp_born_table gives for sum_q c_q |qq>: with w = exp(2 pi i/d),
     D(k|x,y) = |sum_q c_q w^(q (k + phiB_y - phiA_x))|^2 / d, in O(d^2).
     The table itself is p(a, b|x, y) = D(b - a|x, y)/d."""
+    return _shift_power(c, _phase_grid(len(c)))
+
+
+def _shift_power(c: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """|sum_q c_q w^(q s)|^2 / d at every s of the array shift, with d = len(c)
+    and w = exp(2 pi i/d): difference_distribution on shift = _phase_grid(d),
+    or on any slice of it. Each entry is one dot product over q, so a slice
+    gives the whole grid's entries bit for bit."""
     c = np.asarray(c, dtype=complex)
     d = c.size
-    amplitude = np.exp(2j * pi / d * np.multiply.outer(_phase_grid(d), np.arange(d))) @ c
-    return np.abs(amplitude) ** 2 / d
+    return np.abs(np.exp(2j * pi / d * np.multiply.outer(shift, np.arange(d))) @ c) ** 2 / d

@@ -423,21 +423,21 @@ def test_package_exports_are_pinned():
     names = sorted(name for name, value in vars(diqkd_cc).items()
                    if not name.startswith("_") and not isinstance(value, type(diqkd_cc)))
     assert names == [
-        "ANALYTIC_MAX_ENTANGLED", "BRANCHES", "BellOperatorMatrix", "BracketError", "CATALAN",
+        "ANALYTIC_MAX_ENTANGLED", "BRANCHES", "BracketError", "CATALAN",
         "CcDecomposition", "CorrelationTable", "CriticalVisibility", "DecompositionInfeasible",
         "DeterministicStrategy", "KeyRatePoint", "LOCAL_BOUND", "LP_CGLMP_STATE",
         "LP_MAX_ENTANGLED", "MeasurementBasis", "PureState", "STRATEGY_CAP", "Scenario",
-        "StrategyCapExceeded", "ValidationReport", "cglmp_bell_operator", "cglmp_born_table",
+        "StrategyCapExceeded", "ValidationReport", "cglmp_born_table",
         "cglmp_coefficients", "cglmp_state", "cglmp_value", "critical_visibilities",
         "critical_visibility", "ec_term_general", "ec_term_isotropic", "enumerate_strategies",
         "fourier_basis", "idmax_asymptotic", "idmax_closed_form", "is_local",
         "keyrate_curve", "keyrate_point", "local_residual",
-        "local_visibility", "local_visibility_max_entangled", "max_eigenpair",
+        "local_visibility", "local_visibility_max_entangled",
         "max_local_weight", "maximally_entangled_state", "mix_with_white_noise", "pa_term_cc",
         "shannon_base_d", "strategy_from_id", "strategy_table", "uniform_table", "validate",
         "vcrit_asymptotic",
     ]
-    assert len(names) == 50
+    assert len(names) == 47
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -474,15 +474,16 @@ def test_vcrit_tuned_state_solves_no_lp(lp_counter, capsys):
 
 
 def test_tuned_state_runs_on_amplitudes_alone(lp_counter, monkeypatch, capsys):
-    # a cold vcrit builds neither the d^2 x d^2 operator nor a Born table and
-    # solves no LP: one d x d Toeplitz eigensolve gives c_q and lambda_max,
-    # V_L = 2/lambda_max, and the rate reads D(k|x,y) computed from c_q
+    # a cold vcrit builds no Born table, no six-setting difference
+    # distribution and solves no LP: one d x d Toeplitz eigensolve gives c_q
+    # and lambda_max, V_L = 2/lambda_max, and the rate reads the key-setting
+    # column of D(k|x,y) computed from c_q
     def refuse(*args):
-        raise AssertionError("d^2 x d^2 operator, Born table or visibility LP built")
+        raise AssertionError("Born table, whole difference distribution or visibility LP built")
 
-    for name in ("cglmp_bell_operator", "max_eigenpair", "cglmp_born_table"):
-        monkeypatch.setattr(quantum, name, refuse)
-    monkeypatch.setattr(keyrate, "difference_visibility", refuse)
+    monkeypatch.setattr(quantum, "cglmp_born_table", refuse)
+    for name in ("difference_distribution", "difference_visibility"):
+        monkeypatch.setattr(keyrate, name, refuse)
     eigensolves = []
     solve = keyrate._top_eigenpair
 

@@ -34,7 +34,7 @@ from diqkd_cc import (
     uniform_table,
     vcrit_asymptotic,
 )
-from diqkd_cc import keyrate, quantum
+from diqkd_cc import keyrate, polytope, quantum
 from diqkd_cc.keyrate import _bisect
 from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from diqkd_cc.scenario import Scenario
@@ -42,7 +42,8 @@ from diqkd_cc.scenario import Scenario
 
 def _ideal_table(d: int, branch: str):
     """The branch's ideal (V = 1) Born table."""
-    return cglmp_born_table(keyrate._branch_state(d, branch))
+    state = cglmp_state(d) if branch == LP_CGLMP_STATE else maximally_entangled_state(d)
+    return cglmp_born_table(state)
 
 
 # --------------------------------------------------------------- entropies
@@ -217,6 +218,19 @@ def test_keyrate_point_dispatch():
         keyrate_point(2, 0.9, "bogus")
 
 
+@pytest.mark.parametrize("d", [3, 200])
+def test_unknown_branch_is_named_at_any_d(d):
+    # d = 200 is past the visibility-LP limit; the branch is still what is wrong
+    calls = [
+        lambda: keyrate_point(d, 0.9, "bogus"),
+        lambda: keyrate_curve(d, "bogus", 0.5, 1.0, 3),
+        lambda: local_visibility(d, "bogus"),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^unknown branch 'bogus'"):
+            call()
+
+
 def test_local_visibility_per_branch():
     assert local_visibility(3, ANALYTIC_MAX_ENTANGLED) == pytest.approx(
         local_visibility_max_entangled(3), abs=0)
@@ -268,6 +282,15 @@ def test_lp_rate_terms_are_the_public_term_functions(d, branch):
         assert pt.pa_term == pytest.approx(pa_term_cc(pt.qL, alice_key), abs=1e-14)
         assert pt.ec_term == pytest.approx(
             ec_term_general(mix_with_white_noise(pNL, float(V))), abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 292, 394, 1024])
+def test_tuned_state_key_column_is_the_difference_distribution_column(d):
+    # the rate evaluates D only at the key settings; those are the whole
+    # difference distribution's entries there, bit for bit
+    c = cglmp_state(d).amplitudes[:: d + 1]
+    column = quantum.difference_distribution(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+    assert np.array_equal(keyrate._resource(d, LP_CGLMP_STATE)[1], column)
 
 
 def _ulps(x: float, y: float) -> float:
@@ -362,6 +385,20 @@ def test_tuned_state_limit_checked_before_toeplitz_is_built(monkeypatch):
             call(limit + 1)
         with pytest.raises(TypeError, match="integer"):
             call(3.0)
+
+
+def test_lp_column_checked_before_any_lp(monkeypatch):
+    # every d of an LP_MAX_ENTANGLED column is held to VISIBILITY_LP_MAX_D
+    # before the first visibility LP
+    def refuse(D):
+        raise AssertionError(f"visibility LP solved at d = {len(D)}")
+
+    monkeypatch.setattr(keyrate, "difference_visibility", refuse)
+    limit = polytope.VISIBILITY_LP_MAX_D
+    for ds in ([2, 3, 4, limit + 1], range(2, limit + 2)):
+        with pytest.raises(ValueError, match=f"d = {limit + 1} exceeds the visibility-LP "
+                                             f"limit d <= {limit}"):
+            critical_visibilities(ds, LP_MAX_ENTANGLED)
 
 
 def _same_results(batch, ds, branch):

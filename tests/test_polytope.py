@@ -27,9 +27,9 @@ from diqkd_cc import (
     uniform_table,
     validate,
 )
-from diqkd_cc import keyrate, polytope
+from diqkd_cc import polytope
 from diqkd_cc.polytope import LP_FEASIBILITY_TOL
-from diqkd_cc.quantum import cglmp_born_table, maximally_entangled_state
+from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from diqkd_cc.scenario import _differences
 
 ME2 = cglmp_born_table(maximally_entangled_state(2))
@@ -38,7 +38,8 @@ ME3 = cglmp_born_table(maximally_entangled_state(3))
 
 def _ideal_table(d: int, branch: str) -> CorrelationTable:
     """The branch's ideal (V = 1) Born table."""
-    return cglmp_born_table(keyrate._branch_state(d, branch))
+    state = cglmp_state(d) if branch == LP_CGLMP_STATE else maximally_entangled_state(d)
+    return cglmp_born_table(state)
 
 
 def _product_table(seed: int, d: int = 2) -> CorrelationTable:

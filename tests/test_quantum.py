@@ -1,4 +1,8 @@
-"""States, Fourier bases, Born tables, and Bell-operator eigenproblems."""
+"""States, Fourier bases, Born tables, and Bell-operator eigenproblems.
+
+The d^2 x d^2 CGLMP operator below is the oracle for the d x d Toeplitz
+eigensolve that the package runs; no package code builds it."""
+from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
@@ -7,16 +11,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diqkd_cc import (
-    BellOperatorMatrix,
     MeasurementBasis,
     PureState,
-    cglmp_bell_operator,
     cglmp_born_table,
+    cglmp_coefficients,
     cglmp_state,
     cglmp_value,
     fourier_basis,
     idmax_closed_form,
-    max_eigenpair,
     maximally_entangled_state,
     validate,
 )
@@ -26,9 +28,53 @@ from diqkd_cc.quantum import (
     CGLMP_BOB_PHASES,
     _cglmp_toeplitz,
     _phase_grid,
+    _top_eigenpair,
     difference_distribution,
 )
 from diqkd_cc.scenario import _differences
+
+HERMITICITY_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class BellOperatorMatrix:
+    d: int
+    matrix: np.ndarray       # (d^2, d^2) Hermitian
+    coefficients: np.ndarray  # c(a,b,x,y) used to build it
+
+    def __post_init__(self):
+        dev = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
+        if not dev <= HERMITICITY_TOL:
+            raise ValueError(f"operator not Hermitian: residual {dev:.3e}")
+
+
+def max_eigenpair(op: BellOperatorMatrix) -> tuple[float, PureState]:
+    """Largest eigenvalue and a unit eigenvector of the Hermitian operator."""
+    lam, v = _top_eigenpair(op.matrix)
+    return lam, PureState(d=op.d, amplitudes=v)
+
+
+def cglmp_bell_operator(d: int) -> BellOperatorMatrix:
+    """sum_{a,b,x,y} c(a,b,x,y) P_{a|x} (x) P_{b|y} over the two Bell settings of
+    each party, with rank-1 Fourier projectors: the d^2 x d^2 CGLMP operator."""
+    coefficients = cglmp_coefficients(d)
+    B = np.zeros((d * d, d * d), dtype=complex)
+    for x, alpha in enumerate(CGLMP_ALICE_PHASES):
+        Va = fourier_basis(d, alpha).vectors
+        for y, beta in enumerate(CGLMP_BOB_PHASES):
+            Vb = fourier_basis(d, beta, conjugate=True).vectors
+            for a in range(d):
+                Pa = np.outer(Va[a], Va[a].conj())
+                row = coefficients[a, :, x, y]
+                if not row.any():
+                    continue
+                Pb_sum = np.zeros((d, d), dtype=complex)
+                for b in range(d):
+                    if row[b] != 0.0:
+                        Pb_sum += row[b] * np.outer(Vb[b], Vb[b].conj())
+                B += np.kron(Pa, Pb_sum)
+    return BellOperatorMatrix(d=d, matrix=B, coefficients=coefficients)
+
 
 OP3 = cglmp_bell_operator(3)
 
@@ -110,9 +156,6 @@ def test_validation_rejects_nan():
         PureState(d=2, amplitudes=np.array([nan, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="orthonormal"):
         fourier_basis(3, nan)
-    with pytest.raises(ValueError, match="Hermitian"):
-        BellOperatorMatrix(d=2, matrix=np.full((4, 4), nan, dtype=complex),
-                           coefficients=np.zeros((2, 2, 2, 2)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -192,17 +235,17 @@ def test_born_table_argument_checks():
     assert cglmp_born_table(state).p.shape == (3, 3, 2, 3)
 
 
-# ---------------------------------------------------------- Bell operators
+# ------------------------------------------- Bell operators (the oracle)
 
 def test_bell_operator_is_hermitian():
+    assert OP3.matrix.shape == (9, 9)
     assert np.allclose(OP3.matrix, OP3.matrix.conj().T, atol=1e-12)
 
 
-def test_bell_operator_phase_list_checked():
-    # the phases are fixed; only d can be passed
-    with pytest.raises(TypeError):
-        cglmp_bell_operator(2, CGLMP_ALICE_PHASES, CGLMP_BOB_PHASES)
-    assert OP3.matrix.shape == (9, 9)
+def test_bell_operator_rejects_nan():
+    with pytest.raises(ValueError, match="Hermitian"):
+        BellOperatorMatrix(d=2, matrix=np.full((4, 4), float("nan"), dtype=complex),
+                           coefficients=np.zeros((2, 2, 2, 2)))
 
 
 def test_hermiticity_validation():
