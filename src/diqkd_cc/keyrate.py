@@ -10,7 +10,7 @@ from math import log, pi, sqrt
 
 import numpy as np
 
-from .cglmp import CATALAN, LOCAL_BOUND, local_visibility_max_entangled
+from .cglmp import CATALAN, LOCAL_BOUND, _idmax_column
 from .polytope import check_visibility_lp_dimension, difference_visibility
 from .quantum import (
     _cglmp_toeplitz,
@@ -126,49 +126,59 @@ def _check_branch(d, branch: str) -> int:
     raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
 
 
-def _resource(d: int, branch: str) -> tuple[float, np.ndarray | None]:
-    """(V_L, D_key) of the branch at d: the largest visibility at which its
-    mixed table is still local, and the ideal table's key-setting difference
-    distribution D(k|keyX,keyY) (None on the analytic branch). Unchecked:
-    d and branch have passed _check_branch.
+def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """(V_L, D_key) of the branch for every d in ds: the array of the largest
+    visibilities at which its mixed tables are still local, and the list of
+    the ideal tables' key-setting difference distributions D(k|keyX,keyY)
+    (None on the analytic branch). Unchecked: every d and the branch have
+    passed _check_branch. Single-d callers take the one-element case.
+
+    Analytic branch: V_L = 2/I_d^max for the whole column from one
+    cglmp._idmax_column call, which evaluates the closed form's terms in
+    array passes.
 
     Off the analytic branch the state is sum_q c_q |qq>, and D(k|x,y) comes
-    from its amplitudes c_q (quantum.difference_distribution).
-
-    Analytic branch: V_L = 2/I_d^max. Tuned state: one eigensolve of the
-    d x d Toeplitz CGLMP operator gives both c_q and the top eigenvalue
-    lambda_max, the state's CGLMP value, and V_L = 2/lambda_max. CGLMP is a
-    Bell inequality with local bound 2 and white noise scores 0, so
-    V_L <= 2/lambda_max for every table; the visibility LP attains it, with
-    the CGLMP functional as its dual (the tests certify this for d = 2..32
-    and 48). Only D_key is evaluated, on the key-setting shifts of the phase
-    grid: d of its 6d columns. LP_MAX_ENTANGLED: V_L comes from one
-    visibility LP over Alice's outcome pairs (Fine, PRL 48, 291 (1982)) on
-    the whole D, 3d^2 + 1 columns and 8d + 1 rows (difference_visibility).
+    from its amplitudes c_q (quantum.difference_distribution), one d at a
+    time. Tuned state: one eigensolve of the d x d Toeplitz CGLMP operator
+    gives both c_q and the top eigenvalue lambda_max, the state's CGLMP value,
+    and V_L = 2/lambda_max. CGLMP is a Bell inequality with local bound 2 and
+    white noise scores 0, so V_L <= 2/lambda_max for every table; the
+    visibility LP attains it, with the CGLMP functional as its dual (the
+    tests certify this for d = 2..32 and 48). Only D_key is evaluated, on the
+    key-setting shifts of the phase grid: d of its 6d columns.
+    LP_MAX_ENTANGLED: V_L comes from one visibility LP over Alice's outcome
+    pairs (Fine, PRL 48, 291 (1982)) on the whole D, 3d^2 + 1 columns and
+    8d + 1 rows (difference_visibility).
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
-        return local_visibility_max_entangled(d), None
+        return LOCAL_BOUND / np.array(_idmax_column(ds), dtype=float), None
     key = np.s_[:, Scenario.keyX - 1, Scenario.keyY - 1]
-    if branch == LP_CGLMP_STATE:
-        lam, c = _top_eigenpair(_cglmp_toeplitz(d))
-        return LOCAL_BOUND / lam, _shift_power(c, _phase_grid(d)[key])
-    D = difference_distribution(np.full(d, 1.0 / sqrt(d)))
-    return difference_visibility(D), D[key]
+    VL, keys = [], []
+    for d in ds:
+        if branch == LP_CGLMP_STATE:
+            lam, c = _top_eigenpair(_cglmp_toeplitz(d))
+            VL.append(LOCAL_BOUND / lam)
+            keys.append(_shift_power(c, _phase_grid(d)[key]))
+        else:
+            D = difference_distribution(np.full(d, 1.0 / sqrt(d)))
+            VL.append(difference_visibility(D))
+            keys.append(D[key])
+    return np.array(VL, dtype=float), keys
 
 
 def local_visibility(d: int, branch: str) -> float:
     """Largest visibility V_L at which the branch's mixed table is still local:
     2/I_d^max on the analytic branch, 2/lambda_max of the Toeplitz CGLMP
     operator for the tuned state, one visibility LP on LP_MAX_ENTANGLED (see
-    _resource)."""
-    return _resource(_check_branch(d, branch), branch)[0]
+    _resources)."""
+    return float(_resources([_check_branch(d, branch)], branch)[0][0])
 
 
 def _rate_terms(d, V, VL, key):
     """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point.
     Elementwise over 1-D arrays d and V of one length; V_L is a scalar or such
     an array. key is None on the analytic branch; on the LP branches it holds
-    one key-setting difference distribution D_key (see _resource) per element.
+    one key-setting difference distribution D_key (see _resources) per element.
     Unchecked: the public entry points check d and V."""
     qL = np.minimum(1.0, (1.0 - V) / (1.0 - VL))  # 1 below V_L
     if key is None:
@@ -183,12 +193,12 @@ def _rate_terms(d, V, VL, key):
 
 
 def _keyrate_points(d: int, Vs: list, branch: str) -> list[KeyRatePoint]:
-    """keyrate_point at every visibility of Vs, from one _resource call and one
+    """keyrate_point at every visibility of Vs, from one _resources call and one
     _rate_terms call. Unchecked: the public entry points check d and Vs."""
-    VL, key = _resource(d, branch)
+    VL, keys = _resources([d], branch)
     n = len(Vs)
-    terms = _rate_terms(np.full(n, d), np.array(Vs, dtype=float), VL,
-                        None if key is None else [key] * n)
+    terms = _rate_terms(np.full(n, d), np.array(Vs, dtype=float), float(VL[0]),
+                        None if keys is None else keys * n)
     return [KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
             for V, qL, pa, ec in zip(Vs, *(t.tolist() for t in terms))]
 
@@ -241,14 +251,14 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     r_ub is monotone and changes sign on each. Every d gets the midpoints,
     and so the result, of its own scalar bisection: critical_visibility(d)
     is the one-element case. Every d is held to the branch's limit
-    (_check_branch) before the first eigensolve or LP.
+    (_check_branch) before the first eigensolve or LP. The column's V_L
+    comes from one _resources call: on the analytic branch one closed-form
+    evaluation in array passes, on the others one eigensolve or LP per d.
     """
     ds = [_check_branch(d, branch) for d in ds]
     if not ds:
         _check_branch(2, branch)  # an empty column still rejects an unknown branch
-    resources = [_resource(d, branch) for d in ds]
-    VL = np.array([v for v, _ in resources], dtype=float)
-    key = None if branch == ANALYTIC_MAX_ENTANGLED else [k for _, k in resources]
+    VL, key = _resources(ds, branch)
     d_arr = np.array(ds, dtype=np.int64)
 
     def f(V):

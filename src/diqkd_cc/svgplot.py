@@ -7,7 +7,10 @@ from math import floor, log10
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """A few round tick positions covering [lo, hi]."""
+    """A few round tick positions covering [lo, hi]: the multiples of a round
+    step that lie in it, at most seven candidates. An axis too narrow for
+    the step to move a float (all candidates round to one value) gets its
+    two ends."""
     span = hi - lo
     if span <= 0:
         return [lo]
@@ -17,13 +20,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
             step *= mult
             break
     first = floor(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12:
-        if t >= lo - 1e-12:
-            ticks.append(round(t, 12))
-        t += step
-    return ticks
+    candidates = (first + i * step for i in range(floor((hi - first) / step) + 2))
+    ticks = dict.fromkeys(round(t, 12) for t in candidates if lo - 1e-12 <= t <= hi + 1e-12)
+    return list(ticks) if len(ticks) > 1 else [lo, hi]
 
 
 def line_chart(xs, ys, xlabel: str, ylabel: str, title: str = "",

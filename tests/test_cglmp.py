@@ -19,7 +19,7 @@ from diqkd_cc import (
     mix_with_white_noise,
     uniform_table,
 )
-from diqkd_cc import CorrelationTable
+from diqkd_cc import CorrelationTable, cglmp
 from diqkd_cc.polytope import enumerate_strategies, strategy_table
 from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 
@@ -105,6 +105,46 @@ def test_closed_form_matches_fsum_reference():
     # grow with d
     for d in (10**4, 10**5, 10**6):
         assert idmax_closed_form(d) == pytest.approx(_idmax_reference(d), rel=1e-14), d
+
+
+def _idmax_per_d(d: int) -> float:
+    """The closed form as one numpy expression per d, the form the column
+    evaluation replaced: the oracle it must match bit for bit."""
+    def f(k: np.ndarray) -> np.ndarray:
+        return 1.0 / (2.0 * d**3 * np.sin(pi * (k + 0.25) / d) ** 2)
+
+    k = np.arange(d // 2)
+    terms = (1.0 - 2.0 * k / (d - 1)) * (f(k) - f(-(k + 1)))
+    return 4.0 * d * fsum(terms.tolist())
+
+
+def test_column_is_the_per_d_expression_bit_for_bit():
+    # 2.25 M terms in one call, across hundreds of pass boundaries
+    ds = list(range(2, 3001))
+    assert cglmp._idmax_column(ds) == [_idmax_per_d(d) for d in ds]
+
+
+def test_column_splits_one_d_across_passes():
+    d = 10**5
+    assert d // 2 > cglmp._IDMAX_PASS
+    assert cglmp._idmax_column([d]) == [_idmax_per_d(d)]
+    assert idmax_closed_form(d) == _idmax_per_d(d)
+
+
+def test_column_keeps_unsorted_and_repeated_ds():
+    ds = [7, 3, 10**5, 3, 2, 999, 7, np.int64(40)]
+    assert cglmp._idmax_column(ds) == [_idmax_per_d(int(d)) for d in ds]
+    assert cglmp._idmax_column([]) == []
+
+
+@pytest.mark.parametrize("bad, error", [(3.0, TypeError), (True, ValueError), (1, ValueError)])
+def test_column_rejects_invalid_d_before_any_pass(bad, error, monkeypatch):
+    def refuse(ds):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(cglmp, "_idmax_passes", refuse)
+    with pytest.raises(error):
+        cglmp._idmax_column([3, 4, bad])
 
 
 def test_asymptotic_value():

@@ -227,6 +227,28 @@ def test_curve_svg_output(tmp_path, capsys):
     assert "<polyline" in chart
 
 
+def test_curve_svg_on_a_float_narrow_axis_ends(tmp_path):
+    # on an axis narrower than one float step the tick loop stopped advancing
+    # and appended ticks until memory ran out; the child runs under a timeout
+    # and a 1 GiB address-space limit, so a regression fails fast
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    script = ("import resource\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+              "from diqkd_cc.cli import main\n"
+              "from diqkd_cc.svgplot import _ticks\n"
+              "print(_ticks(0.5, 0.5000000000000001))\n"
+              "raise SystemExit(main(['curve', '--d', '3', '--v-min', '0.5', '--v-max',\n"
+              "                       '0.5000000000000001', '--steps', '2',\n"
+              "                       '--out', 'c.csv', '--svg', 'c.svg']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0.5, 0.5000000000000001]\n"
+    chart = (tmp_path / "c.svg").read_text()
+    assert chart.startswith("<svg") and "<polyline" in chart
+    assert len(chart.encode()) < 5 * 1024
+
+
 def test_curve_lp_branch(tmp_path, capsys):
     target = tmp_path / "lp.csv"
     code, _, _ = run(["curve", "--d", "2", "--state", "cglmp", "--v-min", "0.8",
@@ -337,6 +359,19 @@ def test_memory_error_is_numerical_failure(monkeypatch, capsys):
 
     monkeypatch.setattr(cglmp, "idmax_closed_form", exhausted)
     code, out, err = run(["check-local", "--d", "3", "--vtilde", "0.7"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "numerical failure: Unable to allocate an array\n"
+
+
+def test_memory_error_in_a_closed_form_pass_is_numerical_failure(monkeypatch, capsys):
+    # table --state max evaluates I_d^max for its column in array passes
+    def exhausted(ds):
+        raise MemoryError("Unable to allocate an array")
+        yield
+
+    monkeypatch.setattr(cglmp, "_idmax_passes", exhausted)
+    code, out, err = run(["table", "--state", "max", "--d-min", "2", "--d-max", "5"], capsys)
     assert code == 2
     assert out == ""
     assert err == "numerical failure: Unable to allocate an array\n"

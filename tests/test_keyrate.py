@@ -1,6 +1,7 @@
 """Key-rate bound assembly: entropies, analytic and LP branches, the local
 visibility, critical visibilities, grids, and the d->infinity limit."""
 import math
+import tracemalloc
 from math import log2, pi, sqrt
 
 import numpy as np
@@ -290,7 +291,7 @@ def test_tuned_state_key_column_is_the_difference_distribution_column(d):
     # difference distribution's entries there, bit for bit
     c = cglmp_state(d).amplitudes[:: d + 1]
     column = quantum.difference_distribution(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
-    assert np.array_equal(keyrate._resource(d, LP_CGLMP_STATE)[1], column)
+    assert np.array_equal(keyrate._resources([d], LP_CGLMP_STATE)[1][0], column)
 
 
 def _ulps(x: float, y: float) -> float:
@@ -429,6 +430,20 @@ def test_batch_keeps_order_and_repeats(branch):
 def test_batch_of_no_dimension_is_empty():
     assert critical_visibilities([]) == []
     assert critical_visibilities([], LP_CGLMP_STATE) == []
+
+
+def test_analytic_column_memory_stays_bounded():
+    # the closed form's terms are evaluated a few thousand at a time; one pass
+    # over the whole d = 2..1000 column held 16 MB. A short column first, so
+    # that numpy's one-time allocations are not counted
+    critical_visibilities(range(2, 10))
+    tracemalloc.start()
+    try:
+        critical_visibilities(range(2, 1001))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_batch_validates_dimensions_and_branch():
