@@ -104,10 +104,10 @@ def cmd_check_local(args) -> int:
     max(0, 1 - V_L/vtilde). The visibility LP gives the same slack; the tests
     keep it as the oracle."""
     d = args.d
-    v_local = cglmp.local_visibility_max_entangled(d)
     vtilde = args.vtilde
     if not 0.0 <= vtilde <= 1.0:
         raise ValueError(f"--vtilde must lie in [0,1], got {vtilde}")
+    v_local = cglmp.local_visibility_max_entangled(d)
     slack = max(0.0, 1.0 - v_local / vtilde) if vtilde > 0.0 else 0.0
     verdict = "local" if slack <= polytope.LP_FEASIBILITY_TOL else "nonlocal"
     print(f"d={d} vtilde={vtilde:g}: {verdict} "

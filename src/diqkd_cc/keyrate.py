@@ -6,7 +6,7 @@ All entropies are base-d ("dits"); multiply by log2(d) for bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log, pi, sqrt
+from math import isfinite, log, pi, sqrt
 
 import numpy as np
 
@@ -14,8 +14,6 @@ from .cglmp import CATALAN, LOCAL_BOUND, _idmax_column
 from .polytope import check_visibility_lp_dimension, difference_visibility
 from .quantum import (
     _cglmp_toeplitz,
-    _phase_grid,
-    _shift_power,
     _top_eigenpair,
     check_tuned_state_dimension,
     difference_distribution,
@@ -72,8 +70,12 @@ def _entropy(p: np.ndarray, given, d: int) -> float:
 
 
 def shannon_base_d(p, d: int) -> float:
-    """Shannon entropy in base-d units with 0 log 0 := 0."""
-    return _entropy(np.asarray(p, dtype=float), 1.0, _check_dimension(d))
+    """Shannon entropy in base-d units with 0 log 0 := 0. ValueError unless
+    every probability is finite and non-negative."""
+    p = np.asarray(p, dtype=float)
+    if not (np.isfinite(p) & (p >= 0.0)).all():
+        raise ValueError(f"probabilities must be finite and non-negative, got {p}")
+    return _entropy(p, 1.0, _check_dimension(d))
 
 
 def ec_term_isotropic(d: int, V: float) -> float:
@@ -106,7 +108,10 @@ def ec_term_general(t: CorrelationTable) -> float:
 
 def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
     """H(A|E) = (1 - qL) * H_d(marginal): Eve knows the local rounds outright
-    and nothing about the rest. Equals 1 - qL for a uniform marginal."""
+    and nothing about the rest. Equals 1 - qL for a uniform marginal.
+    ValueError for a non-finite qL or marginal, or a negative probability."""
+    if not isfinite(qL):
+        raise ValueError(f"qL must be finite, got {qL}")
     d = len(alice_marginal_at_key)
     qNL = min(1.0, max(0.0, 1.0 - qL))
     return qNL * shannon_base_d(alice_marginal_at_key, d)
@@ -137,15 +142,16 @@ def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray]
     cglmp._idmax_column call, which evaluates the closed form's terms in
     array passes.
 
-    Off the analytic branch the state is sum_q c_q |qq>, and D(k|x,y) comes
-    from its amplitudes c_q (quantum.difference_distribution), one d at a
-    time. Tuned state: one eigensolve of the d x d Toeplitz CGLMP operator
-    gives both c_q and the top eigenvalue lambda_max, the state's CGLMP value,
-    and V_L = 2/lambda_max. CGLMP is a Bell inequality with local bound 2 and
+    Off the analytic branch the state is sum_q c_q |qq>, one d at a time:
+    c_q is the top eigenvector of the tuned state's d x d Toeplitz CGLMP
+    operator, or uniform, and D(k|x,y) is its DFT
+    (quantum.difference_distribution), of which the rate reads the key
+    column. Only V_L differs. Tuned state: the eigensolve that gives c_q also
+    gives the top eigenvalue lambda_max, the state's CGLMP value, and
+    V_L = 2/lambda_max. CGLMP is a Bell inequality with local bound 2 and
     white noise scores 0, so V_L <= 2/lambda_max for every table; the
     visibility LP attains it, with the CGLMP functional as its dual (the
-    tests certify this for d = 2..32 and 48). Only D_key is evaluated, on the
-    key-setting shifts of the phase grid: d of its 6d columns.
+    tests certify this for d = 2..32 and 48).
     LP_MAX_ENTANGLED: V_L comes from one visibility LP over Alice's outcome
     pairs (Fine, PRL 48, 291 (1982)) on the whole D, 3d^2 + 1 columns and
     8d + 1 rows (difference_visibility).
@@ -157,12 +163,11 @@ def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray]
     for d in ds:
         if branch == LP_CGLMP_STATE:
             lam, c = _top_eigenpair(_cglmp_toeplitz(d))
-            VL.append(LOCAL_BOUND / lam)
-            keys.append(_shift_power(c, _phase_grid(d)[key]))
         else:
-            D = difference_distribution(np.full(d, 1.0 / sqrt(d)))
-            VL.append(difference_visibility(D))
-            keys.append(D[key])
+            lam, c = None, np.full(d, 1.0 / sqrt(d))
+        D = difference_distribution(c)
+        VL.append(difference_visibility(D) if lam is None else LOCAL_BOUND / lam)
+        keys.append(D[key].copy())  # a view would keep all of D alive per d
     return np.array(VL, dtype=float), keys
 
 

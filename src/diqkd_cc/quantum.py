@@ -7,16 +7,16 @@ key-rate layer needs is computed from the d amplitudes c_q. The tuned state
 is the top eigenvector of the CGLMP operator restricted to span{|qq>}, a d x d
 Toeplitz matrix (Acin, Durt, Gisin & Latorre, PRA 65, 052325 (2002)). With
 the optimal Fourier phases its sine parts cancel in pairs, so it is real
-symmetric and is built from cosines and solved by a real eigensolve, and c_q
-is real. Its top eigenvalue lambda_max is the state's CGLMP value, which
-gives the local visibility 2/lambda_max, and its table enters only through
-the difference distribution D(k|x,y), computed from c in O(d^2); the rate
-reads only its key-setting column, d of its 6d shifts, from the same kernel.
-The dense eigensolve bounds d: TUNED_STATE_MAX_D. The full Born table
-remains as the reference the difference distribution is tested against, and
-serves idmax; the d^2 x d^2 operator that the Toeplitz matrix restricts
-lives in the tests. check-local builds no table: it reads V_L = 2/I_d^max
-from the closed form.
+symmetric, and c_q is real. Its entries and the difference distribution
+D(k|x,y) of a state are both DFTs, of the term weights and of the
+amplitudes, and are computed with FFTs. The top eigenvalue lambda_max of the
+operator's real eigensolve is the state's CGLMP value, which gives the local
+visibility 2/lambda_max, and its table enters only through D(k|x,y). The
+dense eigensolve bounds d: TUNED_STATE_MAX_D. The full Born table remains as
+the reference the difference distribution is tested against, and serves
+idmax; the d^2 x d^2 operator that the Toeplitz matrix restricts lives in
+the tests. check-local builds no table: it reads V_L = 2/I_d^max from the
+closed form.
 """
 from __future__ import annotations
 
@@ -24,6 +24,9 @@ from dataclasses import dataclass
 from math import pi, sqrt
 
 import numpy as np
+# numpy loads numpy.fft on first use; importing it here books its 1 to 2 ms
+# to start-up rather than to the first solve
+from numpy.fft import fft, ifft
 
 from .cglmp import _cglmp_terms
 from .scenario import CorrelationTable, Scenario, _check_dimension
@@ -33,12 +36,11 @@ EIGENPAIR_RESIDUAL_TOL = 1e-9
 
 #: Largest d for which the tuned state's d x d Toeplitz operator is built and
 #: eigensolved. The dense real eigensolve grows as d^3 in time: it takes
-#: 0.28 to 0.29 s at d = 1024 on one core of a 2-core x86-64 machine, and
-#: `vcrit --d 1024 --state cglmp` takes 0.6 to 0.7 s end to end there (0.25 s
-#: of it start-up) and 80 MB peak: about 28 MB of interpreter and numpy, and
-#: a few d x d arrays (the operator, its eigenvectors, the exponentials of
-#: the key-setting column). d = 2048 would need about 4x the array memory
-#: and 8x the eigensolve time.
+#: 0.22 to 0.29 s at d = 1024 on one core of a 2-core x86-64 machine, and
+#: `vcrit --d 1024 --state cglmp` takes 0.4 to 0.6 s end to end there (0.2 s
+#: of it start-up) and 72 MB peak: about 29 MB of interpreter and numpy, and
+#: a few d x d arrays (the operator and its eigenvectors). d = 2048 would
+#: need about 4x the array memory and 8x the eigensolve time.
 TUNED_STATE_MAX_D = 1024
 
 #: Fourier phases maximizing I_d on the maximally entangled state for the two
@@ -49,6 +51,9 @@ CGLMP_BOB_PHASES = (0.25, -0.25)
 #: Bob's phases for all three of his settings: his key setting reuses Alice's
 #: keyX phase, which makes the key-setting table perfectly correlated.
 _BOB_PHASES = CGLMP_BOB_PHASES + (CGLMP_ALICE_PHASES[Scenario.keyX - 1],)
+#: phiB_y - phiA_x at [x-1, y-1]: the fractional outcome shift of each setting
+#: pair, 0 at the key pair.
+_SETTING_SHIFTS = np.array(_BOB_PHASES) - np.array(CGLMP_ALICE_PHASES)[:, None]
 
 
 @dataclass(frozen=True)
@@ -142,14 +147,6 @@ def _top_eigenpair(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, v
 
 
-def _phase_grid(d: int) -> np.ndarray:
-    """k + phiB_y - phiA_x at [k, x-1, y-1] over Alice's two settings and all
-    three of Bob's (the key setting last)."""
-    return (np.arange(d)[:, None, None]
-            + np.array(_BOB_PHASES)[None, None, :]
-            - np.array(CGLMP_ALICE_PHASES)[None, :, None])
-
-
 def check_tuned_state_dimension(d) -> int:
     """d as a Python int (TypeError or ValueError for a d that is not an
     integer >= 2); ValueError if d > TUNED_STATE_MAX_D. Called before the
@@ -172,18 +169,16 @@ def _cglmp_toeplitz(d: int) -> np.ndarray:
     distribution in I_d. With the phases (0, -1/2) for Alice and (1/4, -1/4)
     for Bob, each term's four +1 shifts are +-(k + 1/4) and its four -1 shifts
     are +-(k + 3/4), each sign twice, so the sines cancel in pairs and B is
-    real. The products m (k + 1/4) and m (k + 3/4) are exact multiples of 1/4
-    and are reduced mod d before the cosine, so its argument stays below
-    2 pi. Its top eigenvalue is the largest CGLMP value of any state
+    real. The cosine sum is the real part of one DFT of length 4d:
+    entries = (4/d) Re FFT(g)[:d] with g[4k + 1] = w_k and g[4k + 3] = -w_k.
+    Its top eigenvalue is the largest CGLMP value of any state
     sum_q c_q |qq>. Unchecked: callers hold d to TUNED_STATE_MAX_D first."""
     w = np.array([w for w, _ in _cglmp_terms(d)])
-    k = np.arange(d // 2)
+    g = np.zeros(4 * d)
+    g[1:4 * w.size:4] = w
+    g[3:4 * w.size:4] = -w
+    entries = fft(g)[:d].real * (4 / d)
     m = np.arange(d)
-
-    def cosines(offset: float) -> np.ndarray:
-        return np.cos(2 * pi / d * np.fmod(np.multiply.outer(m, k + offset), d))
-
-    entries = (cosines(0.25) - cosines(0.75)) @ w * (4 / d)
     return entries[np.abs(m[:, None] - m[None, :])]
 
 
@@ -203,16 +198,10 @@ def cglmp_state(d: int) -> PureState:
 def difference_distribution(c: np.ndarray) -> np.ndarray:
     """D[k, x-1, y-1] = sum_a p(a, a+k mod d | x, y) of the table that
     cglmp_born_table gives for sum_q c_q |qq>: with w = exp(2 pi i/d),
-    D(k|x,y) = |sum_q c_q w^(q (k + phiB_y - phiA_x))|^2 / d, in O(d^2).
-    The table itself is p(a, b|x, y) = D(b - a|x, y)/d."""
-    return _shift_power(c, _phase_grid(len(c)))
-
-
-def _shift_power(c: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """|sum_q c_q w^(q s)|^2 / d at every s of the array shift, with d = len(c)
-    and w = exp(2 pi i/d): difference_distribution on shift = _phase_grid(d),
-    or on any slice of it. Each entry is one dot product over q, so a slice
-    gives the whole grid's entries bit for bit."""
-    c = np.asarray(c, dtype=complex)
+    D(k|x,y) = |sum_q c_q w^(q s_xy) w^(qk)|^2 / d, one inverse DFT of
+    c_q w^(q s_xy) per setting pair, where s_xy = phiB_y - phiA_x
+    (_SETTING_SHIFTS). The table itself is p(a, b|x, y) = D(b - a|x, y)/d."""
+    c = np.asarray(c)
     d = c.size
-    return np.abs(np.exp(2j * pi / d * np.multiply.outer(shift, np.arange(d))) @ c) ** 2 / d
+    twisted = c * np.exp(2j * pi / d * np.multiply.outer(_SETTING_SHIFTS, np.arange(d)))
+    return np.moveaxis(np.abs(ifft(twisted, norm="forward")) ** 2 / d, -1, 0)

@@ -394,6 +394,18 @@ def test_check_local_rejects_bad_visibility(capsys):
     assert "vtilde" in err
 
 
+def test_check_local_rejects_bad_visibility_before_the_closed_form(monkeypatch, capsys):
+    # at d = 10^8 the closed form takes seconds; an invalid vtilde never reaches it
+    def refuse(d):
+        raise AssertionError(f"V_L evaluated for d={d}")
+
+    monkeypatch.setattr(cglmp, "local_visibility_max_entangled", refuse)
+    for vtilde in ("2", "nan", "-0.1"):
+        code, out, err = run(["check-local", "--d", "100000000", "--vtilde", vtilde], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: --vtilde must lie in [0,1], got {float(vtilde)}\n"
+
+
 # -------------------------------------------------------------- asymptotic
 
 def test_asymptotic_constants(capsys):
@@ -509,16 +521,14 @@ def test_vcrit_tuned_state_solves_no_lp(lp_counter, capsys):
 
 
 def test_tuned_state_runs_on_amplitudes_alone(lp_counter, monkeypatch, capsys):
-    # a cold vcrit builds no Born table, no six-setting difference
-    # distribution and solves no LP: one d x d Toeplitz eigensolve gives c_q
-    # and lambda_max, V_L = 2/lambda_max, and the rate reads the key-setting
-    # column of D(k|x,y) computed from c_q
+    # a cold vcrit builds no Born table and solves no LP: one d x d Toeplitz
+    # eigensolve gives c_q and lambda_max, V_L = 2/lambda_max, and the rate
+    # reads the key-setting column of D(k|x,y), the DFT of c_q
     def refuse(*args):
-        raise AssertionError("Born table, whole difference distribution or visibility LP built")
+        raise AssertionError("Born table or visibility LP built")
 
     monkeypatch.setattr(quantum, "cglmp_born_table", refuse)
-    for name in ("difference_distribution", "difference_visibility"):
-        monkeypatch.setattr(keyrate, name, refuse)
+    monkeypatch.setattr(keyrate, "difference_visibility", refuse)
     eigensolves = []
     solve = keyrate._top_eigenpair
 
@@ -680,7 +690,7 @@ def test_gated_tables_do_not_depend_on_thread_count():
 GATED_CURVES = {
     ("curve", "--d", "7", "--state", "cglmp", "--v-min", "0.6", "--v-max", "1.0",
      "--steps", "41"):
-        "01a82e77a40ba17b97db713d8ce6ba0651df3a1353eb51060ff70f0d2561ab19",
+        "7a2646ad099c33b4fd75f3593ca434e7c793badb0253b8f491801c808db4b8a8",
     ("curve", "--d", "3", "--state", "max", "--v-min", "0.8", "--v-max", "1.0",
      "--steps", "41"):
         "69bd4d74bb67a906365b0c0d3210996112cdfd77509ae7f3d4d7a46125780495",

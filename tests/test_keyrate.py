@@ -73,6 +73,14 @@ def test_shannon_requires_integral_d():
     assert shannon_base_d(p, np.int64(2)) == shannon_base_d(p, 2) == 1.0
 
 
+@pytest.mark.parametrize("p", [[float("nan"), 1.0], [float("inf"), 0.0], [-0.5, 1.5]],
+                         ids=["nan", "inf", "negative"])
+def test_shannon_rejects_invalid_probabilities(p):
+    # unchecked, [nan, 1] gives -0.0 and [-0.5, 1.5] gives -0.877
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        shannon_base_d(p, 2)
+
+
 def test_ec_isotropic_endpoints():
     for d in (2, 3, 7):
         assert ec_term_isotropic(d, 1.0) == pytest.approx(0.0, abs=1e-12)
@@ -129,6 +137,21 @@ def test_pa_term_boundaries():
     assert pa_term_cc(1.5, uniform) == 0.0  # clamped
     skewed = np.array([0.5, 0.25, 0.25])
     assert pa_term_cc(0.4, skewed) == pytest.approx(0.6 * shannon_base_d(skewed, 3), abs=1e-12)
+
+
+@pytest.mark.parametrize("qL", [float("nan"), float("inf"), -float("inf")])
+def test_pa_term_rejects_non_finite_local_weight(qL):
+    # unchecked, min(1, max(0, 1 - nan)) clamps a nan to 0
+    with pytest.raises(ValueError, match="qL must be finite"):
+        pa_term_cc(qL, np.full(3, 1.0 / 3.0))
+
+
+@pytest.mark.parametrize("marginal", [[float("nan"), 1.0], [-0.5, 1.5]], ids=["nan", "negative"])
+def test_pa_term_rejects_invalid_marginals(marginal):
+    # at qL = 1 the marginal's entropy is multiplied by 0, but it is still checked
+    for qL in (0.0, 1.0):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            pa_term_cc(qL, marginal)
 
 
 # --------------------------------------------------------- analytic branch
@@ -285,13 +308,27 @@ def test_lp_rate_terms_are_the_public_term_functions(d, branch):
             ec_term_general(mix_with_white_noise(pNL, float(V))), abs=1e-14)
 
 
+def _direct_differences(c):
+    """D[k, x-1, y-1] = |sum_q c_q w^(q (k + phiB_y - phiA_x))|^2 / d with
+    w = exp(2 pi i/d), one O(d) dot product per entry: the O(d^2) oracle for
+    the DFT of quantum.difference_distribution."""
+    c = np.asarray(c, dtype=complex)
+    d = c.size
+    shift = (np.arange(d)[:, None, None] + np.array(quantum._BOB_PHASES)[None, None, :]
+             - np.array(quantum.CGLMP_ALICE_PHASES)[None, :, None])
+    return np.abs(np.exp(2j * pi / d * np.multiply.outer(shift, np.arange(d))) @ c) ** 2 / d
+
+
 @pytest.mark.parametrize("d", [*range(2, 65), 292, 394, 1024])
 def test_tuned_state_key_column_is_the_difference_distribution_column(d):
-    # the rate evaluates D only at the key settings; those are the whole
-    # difference distribution's entries there, bit for bit
+    # the rate reads the key-setting column of D; all six columns agree with
+    # the direct sums to 6.2e-14 (at d = 394), most of it the direct sums'
+    # own rounding (tests/test_reference.py)
     c = cglmp_state(d).amplitudes[:: d + 1]
-    column = quantum.difference_distribution(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
-    assert np.array_equal(keyrate._resources([d], LP_CGLMP_STATE)[1][0], column)
+    D = quantum.difference_distribution(c)
+    assert np.max(np.abs(D - _direct_differences(c))) <= 1e-13
+    assert np.array_equal(keyrate._resources([d], LP_CGLMP_STATE)[1][0],
+                          D[:, Scenario.keyX - 1, Scenario.keyY - 1])
 
 
 def _ulps(x: float, y: float) -> float:
@@ -444,6 +481,20 @@ def test_analytic_column_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
+
+
+def test_tuned_column_holds_only_its_key_columns():
+    # the column keeps d values per d, not each d's six-column D: 0.21 MB for
+    # d = 2..200, against 1.04 MB with views into D
+    keyrate._resources([2, 3], LP_CGLMP_STATE)
+    tracemalloc.start()
+    try:
+        resources = keyrate._resources(list(range(2, 201)), LP_CGLMP_STATE)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(resources[1]) == 199
+    assert held < 500_000
 
 
 def test_batch_validates_dimensions_and_branch():

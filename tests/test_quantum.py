@@ -27,7 +27,7 @@ from diqkd_cc.quantum import (
     CGLMP_ALICE_PHASES,
     CGLMP_BOB_PHASES,
     _cglmp_toeplitz,
-    _phase_grid,
+    _diagonal_state,
     _top_eigenpair,
     difference_distribution,
 )
@@ -330,8 +330,9 @@ def _complex_toeplitz(d):
     """The Toeplitz operator from its general form, before the sines cancel:
     B[q, q'] = (1/d) sum_{x,y,k} C(k|x,y) exp(-2 pi i (q - q')(k + phiB_y - phiA_x)/d)
     over the two Bell settings, a complex Hermitian matrix."""
-    shift = _phase_grid(d)[:, :, :2]
     m = np.arange(d)
+    shift = (m[:, None, None] + np.array(CGLMP_BOB_PHASES)[None, None, :]
+             - np.array(CGLMP_ALICE_PHASES)[None, :, None])  # k + phiB_y - phiA_x
     entries = (np.exp(-2j * pi / d * np.multiply.outer(m, shift)).reshape(d, -1)
                @ _difference_coefficients(d).ravel() / d)
     lag = m[:, None] - m[None, :]
@@ -340,8 +341,8 @@ def _complex_toeplitz(d):
 
 @pytest.mark.parametrize("d", [*range(2, 65), 512, 1024])
 def test_toeplitz_matrix_is_real_symmetric(d):
-    # the cosine formula is the real part of the general complex build, whose
-    # imaginary part cancels; the largest residual, 1.6e-13, is at d = 1024
+    # the DFT of the cosine sum is the real part of the general complex build,
+    # whose imaginary part cancels; the largest residual, 1.9e-13, is at d = 1024
     B = _cglmp_toeplitz(d)
     assert B.dtype == np.float64
     assert np.array_equal(B, B.T)
@@ -359,7 +360,11 @@ def test_tuned_state_amplitudes_are_real_positive_and_palindromic():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 16])
 def test_difference_distribution_matches_born_table(d):
-    for state in (cglmp_state(d), maximally_entangled_state(d)):
+    # complex amplitudes too: the kernel takes c_q as given
+    rng = np.random.default_rng(d)
+    c = rng.normal(size=d) + 1j * rng.normal(size=d)
+    for state in (cglmp_state(d), maximally_entangled_state(d),
+                  _diagonal_state(c / np.linalg.norm(c))):
         D = difference_distribution(state.amplitudes[:: d + 1])
         assert D.shape == (d, 2, 3)
         reference = _differences(cglmp_born_table(state))

@@ -1,0 +1,99 @@
+"""The tuned state against a 40-digit mpmath reference.
+
+The reference builds the Toeplitz operator from its cosine sum, eigensolves it
+with mp.eigsy and sums D(k|x,y) directly, all at 40 digits. A printed cell
+must be the reference's rounding to 12 significant digits, and the two FFT
+kernels of quantum must be within a few ulps of it."""
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from diqkd_cc import LP_CGLMP_STATE, keyrate_curve, local_visibility
+from diqkd_cc.cli import main
+from diqkd_cc.quantum import _SETTING_SHIFTS, _cglmp_toeplitz, cglmp_state, difference_distribution
+from diqkd_cc.scenario import Scenario
+
+mpmath = pytest.importorskip("mpmath")
+mp, mpf = mpmath.mp, mpmath.mpf
+
+DIGITS = 40
+
+
+@pytest.fixture(autouse=True)
+def forty_digits():
+    with mp.workdps(DIGITS):
+        yield
+
+
+def reference_entries(d):
+    """entries[m] = (4/d) sum_k w_k [cos(2 pi m (k + 1/4)/d) - cos(2 pi m (k + 3/4)/d)],
+    from a table of cos(2 pi j/(4d))."""
+    cos = [mp.cospi(mpf(j) / (2 * d)) for j in range(4 * d)]
+    w = [1 - mpf(2 * k) / (d - 1) for k in range(d // 2)]
+    return [4 * mp.fsum(w[k] * (cos[m * (4 * k + 1) % (4 * d)] - cos[m * (4 * k + 3) % (4 * d)])
+                        for k in range(d // 2)) / d
+            for m in range(d)]
+
+
+def reference_differences(c):
+    """D[k, x-1, y-1] = |sum_q c_q exp(2 pi i q (k + s_xy)/d)|^2 / d by direct sums,
+    from a table of exp(2 pi i j/(4d)): q (k + s_xy) is a multiple of 1/4."""
+    d = len(c)
+    root = [mp.expjpi(mpf(j) / (2 * d)) for j in range(4 * d)]
+    D = np.empty((d, 2, 3), dtype=object)
+    for (x, y), s in np.ndenumerate(_SETTING_SHIFTS):
+        for k in range(d):
+            step = 4 * k + int(4 * s)
+            D[k, x, y] = abs(mp.fdot(c, [root[q * step % (4 * d)] for q in range(d)])) ** 2 / d
+    return D
+
+
+def reference_tuned_state(d):
+    """(lambda_max, c_q) of the Toeplitz operator by mp.eigsy."""
+    entries = reference_entries(d)
+    B = mp.matrix(d, d)
+    for i in range(d):
+        for j in range(d):
+            B[i, j] = entries[abs(i - j)]
+    E, Q = mp.eigsy(B)
+    top = max(range(d), key=lambda i: E[i])
+    return E[top], [Q[q, top] for q in range(d)]
+
+
+def test_d7_tuned_curve_cell_is_the_reference_rounding(tmp_path):
+    # the d7-cglmp curve's H_AB at V = 0.71 is 0.5654950756434999..., 8e-17
+    # below the rounding midpoint; the cell must print ...643. V_L = 2/lambda_max
+    # is 1.4 ulps from the reference's.
+    d, row = 7, 11
+    point = keyrate_curve(d, LP_CGLMP_STATE, 0.6, 1.0, 41)[row]
+    assert f"{point.V:.12g}" == "0.71"
+    lam, c = reference_tuned_state(d)
+    V_L = local_visibility(d, LP_CGLMP_STATE)
+    assert abs(V_L - 2 / lam) <= 4 * math.ulp(V_L)
+    key = reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+    V = mpf(point.V)
+    mixed = [V * p + (1 - V) / d for p in key]
+    h_ab = -mp.fsum(m * mp.log(m) for m in mixed) / mp.log(d)
+    assert mp.nstr(h_ab, 12) == "0.565495075643"
+
+    target = tmp_path / "curve.csv"
+    assert main(["curve", "--d", "7", "--state", "cglmp", "--v-min", "0.6", "--v-max", "1.0",
+                 "--steps", "41", "--out", str(target)]) == 0
+    cells = list(csv.DictReader(target.read_text().splitlines()))[row]
+    assert cells["V"] == "0.71"
+    assert cells["H_AB"] == mp.nstr(h_ab, 12)
+
+
+def test_fft_kernels_are_within_a_few_ulps_of_the_reference():
+    # measured at d = 256: 0.56 ulp of the largest entry for the operator,
+    # 2 ulps of the largest D for the difference distribution
+    d = 256
+    entries = _cglmp_toeplitz(d)[0]
+    reference = np.array([float(e) for e in reference_entries(d)])
+    assert np.max(np.abs(entries - reference)) <= 4 * np.spacing(np.max(np.abs(reference)))
+
+    c = cglmp_state(d).amplitudes[:: d + 1].real
+    reference = reference_differences([mpf(float(q)) for q in c]).astype(float)
+    assert np.max(np.abs(difference_distribution(c) - reference)) <= 4 * np.spacing(reference.max())
