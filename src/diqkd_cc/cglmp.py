@@ -3,7 +3,7 @@ maximum on the maximally entangled state, and the d->infinity constants.
 """
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import fsum, pi
 
 import numpy as np
@@ -17,14 +17,21 @@ LOCAL_BOUND = 2.0
 CATALAN = 0.91596559417721901505
 
 
+def _cglmp_weight(k, d):
+    """w_k = 1 - 2k/(d-1), the weight of term k of I_d; elementwise over
+    arrays of k and d."""
+    return 1.0 - 2.0 * k / (d - 1)
+
+
 def _cglmp_terms(d: int):
     """The terms of I_d, one (w, shifts) per k = 0 .. [d/2]-1: the weight
-    w = 1 - 2k/(d-1) and the eight outcome-shift probabilities it multiplies,
-    as (x-1, y-1, (b - a) mod d, sign). Four have the outcomes differ by +k
-    (or the role-swapped k+1) and count +1, four differ the opposite way and
-    count -1. For d=2 only k=0 contributes and the weight is 1."""
+    w = _cglmp_weight(k, d) and the eight outcome-shift probabilities it
+    multiplies, as (x-1, y-1, (b - a) mod d, sign). Four have the outcomes
+    differ by +k (or the role-swapped k+1) and count +1, four differ the
+    opposite way and count -1. For d=2 only k=0 contributes and the weight
+    is 1."""
     for k in range(d // 2):
-        w = 1.0 - 2.0 * k / (d - 1)
+        w = _cglmp_weight(k, d)
         yield w, [(x, y, shift % d, sign) for x, y, shift, sign in (
             (0, 0, k, 1),             # A_1 = B_1 + k
             (1, 0, -(k + 1), 1),      # B_1 = A_2 + k + 1
@@ -73,50 +80,37 @@ def cglmp_coefficients(d: int) -> np.ndarray:
 #: terms; medians of 40 interleaved runs on one core of a shared 2-core x86-64
 #: VM), passes of 4096 to 16384 terms take 29 to 30 ms against 50 ms for one
 #: numpy call per d, and one pass over the whole column takes 42 ms with a
-#: 16 MB tracemalloc peak (0.62 MB with 8192).
+#: 16 MB tracemalloc peak (0.80 MB with 8192).
 _IDMAX_PASS = 8192
 
 
-def _idmax_pieces(ds: list[int]):
-    """The terms of every d's series, d after d and each in k order, cut into
-    passes of _IDMAX_PASS terms (a d's terms may span passes). Yields one
-    list of pieces (d, k, n) per pass: the n terms of d's series from k on."""
-    pieces, room = [], _IDMAX_PASS
-    for d in ds:
-        k, half = 0, d // 2
-        while k < half:
-            n = min(half - k, room)
-            pieces.append((d, k, n))
-            k += n
-            room -= n
-            if not room:
-                yield pieces
-                pieces, room = [], _IDMAX_PASS
-    if pieces:
-        yield pieces
-
-
 def _idmax_passes(ds: list[int]):
-    """The terms of each pass of _idmax_pieces, as a list. Each term is the
-    per-d expression of idmax_closed_form, element by element: k, and the
-    per-d factors d, d - 1 and 2d^3, are the numbers the per-d expression
-    used, laid out piece by piece. The arrays stay in this generator's frame
-    until the next pass replaces them: a helper function that freed them on
-    every return took a third longer on d = 2..5000."""
-    for pieces in _idmax_pieces(ds):
-        size = sum(n for _, _, n in pieces)
-        k, d, c = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size)
-        at = 0
-        for dim, first, n in pieces:
-            k[at:at + n] = np.arange(first, first + n)
-            d[at:at + n] = dim
-            c[at:at + n] = 2.0 * dim**3
-            at += n
+    """The terms of every d's series, d after d and each in k order, as one
+    list per pass of _IDMAX_PASS terms (a d's terms may span passes). A pass
+    is the slice [start, start + _IDMAX_PASS) of the column's term index t;
+    t finds its d by searchsorted on the running term counts, and
+    k = t - first(d). Each term is the per-d expression of
+    idmax_closed_form, element by element: first(d), d and 2d^3 (computed
+    in Python ints, rounded once) are gathered from per-d arrays. t and k
+    are whole numbers held exactly in float64, so a pass runs only float64
+    loops: the first call of each further numpy loop costs a fresh process,
+    such as check-local's, 10 to 40 us. The arrays stay in this
+    generator's frame until the next pass replaces them: a helper function
+    that freed them on every return took a third longer on d = 2..5000."""
+    ends = list(accumulate(d // 2 for d in ds))
+    bounds = np.array(ends, dtype=float)
+    per_d = np.array([[e - d // 2 for d, e in zip(ds, ends)], ds,
+                      [2.0 * d**3 for d in ds]], dtype=float)
+    total = ends[-1] if ds else 0
+    for start in range(0, total, _IDMAX_PASS):
+        t = np.arange(start, min(start + _IDMAX_PASS, total), dtype=float)
+        first, d, c = per_d.take(bounds.searchsorted(t, side="right"), axis=1)
+        k = t - first
 
         def f(k: np.ndarray) -> np.ndarray:
             return 1.0 / (c * np.sin(pi * (k + 0.25) / d) ** 2)
 
-        yield ((1.0 - 2.0 * k / (d - 1.0)) * (f(k) - f(-(k + 1)))).tolist()
+        yield (_cglmp_weight(k, d) * (f(k) - f(-(k + 1)))).tolist()
 
 
 def _idmax_column(ds) -> list[float]:

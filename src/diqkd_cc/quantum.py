@@ -28,7 +28,7 @@ import numpy as np
 # to start-up rather than to the first solve
 from numpy.fft import fft, ifft
 
-from .cglmp import _cglmp_terms
+from .cglmp import _cglmp_weight
 from .scenario import CorrelationTable, Scenario, _check_dimension
 
 ORTHONORMALITY_TOL = 1e-12
@@ -171,9 +171,10 @@ def _cglmp_toeplitz(d: int) -> np.ndarray:
     are +-(k + 3/4), each sign twice, so the sines cancel in pairs and B is
     real. The cosine sum is the real part of one DFT of length 4d:
     entries = (4/d) Re FFT(g)[:d] with g[4k + 1] = w_k and g[4k + 3] = -w_k.
-    Its top eigenvalue is the largest CGLMP value of any state
-    sum_q c_q |qq>. Unchecked: callers hold d to TUNED_STATE_MAX_D first."""
-    w = np.array([w for w, _ in _cglmp_terms(d)])
+    The weights w_k = _cglmp_weight(k, d) are all it reads of I_d. Its top
+    eigenvalue is the largest CGLMP value of any state sum_q c_q |qq>.
+    Unchecked: callers hold d to TUNED_STATE_MAX_D first."""
+    w = _cglmp_weight(np.arange(d // 2), d)
     g = np.zeros(4 * d)
     g[1:4 * w.size:4] = w
     g[3:4 * w.size:4] = -w
@@ -200,8 +201,11 @@ def difference_distribution(c: np.ndarray) -> np.ndarray:
     cglmp_born_table gives for sum_q c_q |qq>: with w = exp(2 pi i/d),
     D(k|x,y) = |sum_q c_q w^(q s_xy) w^(qk)|^2 / d, one inverse DFT of
     c_q w^(q s_xy) per setting pair, where s_xy = phiB_y - phiA_x
-    (_SETTING_SHIFTS). The table itself is p(a, b|x, y) = D(b - a|x, y)/d."""
+    (_SETTING_SHIFTS). The table itself is p(a, b|x, y) = D(b - a|x, y)/d.
+    ValueError unless c is 1-D, with d >= 2 entries, all finite."""
     c = np.asarray(c)
-    d = c.size
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError("amplitudes must be a 1-D array of finite numbers")
+    d = _check_dimension(c.size)
     twisted = c * np.exp(2j * pi / d * np.multiply.outer(_SETTING_SHIFTS, np.arange(d)))
     return np.moveaxis(np.abs(ifft(twisted, norm="forward")) ** 2 / d, -1, 0)

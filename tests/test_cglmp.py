@@ -1,5 +1,6 @@
 """Bell expression: value/coefficient agreement, local bound on deterministic
 points, the closed-form maximum, and the d->infinity constants."""
+import tracemalloc
 from math import fsum, pi, sin, sqrt
 
 import numpy as np
@@ -129,6 +130,19 @@ def test_column_splits_one_d_across_passes():
     assert d // 2 > cglmp._IDMAX_PASS
     assert cglmp._idmax_column([d]) == [_idmax_per_d(d)]
     assert idmax_closed_form(d) == _idmax_per_d(d)
+
+
+def test_column_holds_one_large_d_in_bounded_memory():
+    # 100,000 terms of one d over 13 passes: a layout that evaluated each d
+    # in one pass would hold all of them at once
+    cglmp._idmax_column(range(2, 10))
+    tracemalloc.start()
+    try:
+        cglmp._idmax_column([200_000])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_column_keeps_unsorted_and_repeated_ds():

@@ -157,10 +157,10 @@ def test_table_fills_tuned_state_cells_past_the_lp_limit(capsys):
 
 def test_table_checks_tuned_state_limit_before_any_eigensolve(monkeypatch, capsys):
     # every d of the column is checked before the first Toeplitz matrix
-    def refuse(d):
+    def refuse(k, d):
         raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(quantum, "_cglmp_terms", refuse)
+    monkeypatch.setattr(quantum, "_cglmp_weight", refuse)
     limit = quantum.TUNED_STATE_MAX_D
     code, out, err = run(["table", "--state", "cglmp", "--d-min", str(limit - 1),
                           "--d-max", str(limit + 1)], capsys)
@@ -331,10 +331,10 @@ def test_check_local_builds_no_table_past_the_lp_limit(lp_counter, monkeypatch, 
 
 
 def test_vcrit_above_tuned_state_limit_fails_fast(monkeypatch, capsys):
-    def refuse(d):
+    def refuse(k, d):
         raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(quantum, "_cglmp_terms", refuse)
+    monkeypatch.setattr(quantum, "_cglmp_weight", refuse)
     limit = quantum.TUNED_STATE_MAX_D
     assert limit == 1024
     for d in (limit + 1, 2000):

@@ -404,10 +404,10 @@ def test_critical_visibility_residual_is_keyrate_point_r_ub(d, branch):
 def test_tuned_state_limit_checked_before_toeplitz_is_built(monkeypatch):
     # d's type and the tuned-state limit are checked before any Toeplitz
     # matrix is built, on every path that eigensolves the tuned state
-    def unbuilt(d):
+    def unbuilt(k, d):
         raise AssertionError(f"Toeplitz operator coefficients built for d={d}")
 
-    monkeypatch.setattr(quantum, "_cglmp_terms", unbuilt)
+    monkeypatch.setattr(quantum, "_cglmp_weight", unbuilt)
     limit = quantum.TUNED_STATE_MAX_D
     calls = [
         lambda d: critical_visibility(d, LP_CGLMP_STATE),

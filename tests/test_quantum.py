@@ -369,3 +369,12 @@ def test_difference_distribution_matches_born_table(d):
         assert D.shape == (d, 2, 3)
         reference = _differences(cglmp_born_table(state))
         assert np.max(np.abs(D - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("c", [[], [1.0], [np.nan, 1.0], [[0.5, 0.5], [0.5, 0.5]]],
+                         ids=["empty", "d1", "nan", "2d"])
+def test_difference_distribution_rejects_invalid_amplitudes(c):
+    # unchecked, [] divides by d = 0, [1.0] gives a (1, 2, 3) D and one NaN
+    # spreads over all of D
+    with pytest.raises(ValueError):
+        difference_distribution(np.array(c))
