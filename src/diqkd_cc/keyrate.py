@@ -32,6 +32,9 @@ BISECTION_WIDTH = 1e-8
 #: Probabilities below this are treated as exact zeros in entropies.
 ZERO_PROBABILITY = 1e-300
 
+#: Cells of the flat mixed array that one pass of the LP branches' rate holds.
+_RATE_PASS = 1 << 14
+
 
 class BracketError(RuntimeError):
     """Root bracketing failed where a sign change was expected."""
@@ -60,7 +63,8 @@ def _entropy(p: np.ndarray, given, d: int) -> float:
     """-sum p log_d(p / given) over the cells where p and given (a scalar or
     an array of p's shape) both exceed ZERO_PROBABILITY, so 0 log 0 := 0.
     With given = 1 this is the Shannon entropy of p, with Bob's marginal the
-    conditional entropy H(A|B)."""
+    conditional entropy H(A|B). The rate's flat pass (_rate_terms) repeats
+    its arithmetic and summation order for a column of mixed tables."""
     keep = p > ZERO_PROBABILITY
     if np.ndim(given):
         keep &= given > ZERO_PROBABILITY
@@ -179,22 +183,65 @@ def local_visibility(d: int, branch: str) -> float:
     return float(_resources([_check_branch(d, branch)], branch)[0][0])
 
 
-def _rate_terms(d, V, VL, key):
-    """(qL, pa, ec) at visibility V, so that r_ub = pa - ec; see keyrate_point.
-    Elementwise over 1-D arrays d and V of one length; V_L is a scalar or such
-    an array. key is None on the analytic branch; on the LP branches it holds
-    one key-setting difference distribution D_key (see _resources) per element.
-    Unchecked: the public entry points check d and V."""
-    qL = np.minimum(1.0, (1.0 - V) / (1.0 - VL))  # 1 below V_L
-    if key is None:
-        ec = _ec_isotropic(d, V)
-    else:
+def _rate_passes(keys: list[np.ndarray]) -> list[tuple]:
+    """keys in passes of at most _RATE_PASS cells (or one element):
+    (a, b, flat, sizes, starts, ln_d) for elements a..b-1, flat being their
+    D_key end to end, each after a leading 0.0 at offset starts, with sizes
+    cells and ln_d = math.log(d) per element. The zero makes np.add.reduceat
+    of a segment equal its D_key's own sum(), which also adds from 0.0. A
+    curve repeats one D_key, so its full passes share one layout."""
+    firsts, cells = [], 0
+    for e, k in enumerate(keys):
+        if not firsts or cells + k.size + 1 > _RATE_PASS:
+            firsts.append(e)
+            cells = 0
+        cells += k.size + 1
+    layouts, passes = {}, []
+    for a, b in zip(firsts, [*firsts[1:], len(keys)]):
+        ident = tuple(map(id, keys[a:b]))
+        if ident not in layouts:
+            sizes = np.array([k.size + 1 for k in keys[a:b]])
+            flat = np.concatenate([x for k in keys[a:b] for x in (np.zeros(1), k)])
+            ln_d = np.array([log(k.size) for k in keys[a:b]])
+            layouts[ident] = flat, sizes, np.cumsum(sizes) - sizes, ln_d
+        passes.append((a, b, *layouts[ident]))
+    return passes
+
+
+def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
+    """terms(V) -> (qL, pa, ec) for every element of ds at the visibilities
+    V (a 1-D array of len(ds)), so that r_ub = pa - ec; see keyrate_point.
+    V_L is a scalar or such an array; keys is None on the analytic branch,
+    else one D_key per element (see _resources). Unchecked: the public entry
+    points check d and V. All that does not depend on V is built here, once.
+
+    Off the analytic branch each call takes the entropy of every mixed D_key,
+    m = V D_key + (1 - V)/d, in one array pass per _rate_passes pass with
+    _entropy's arithmetic and summation order, so each ec is
+    _entropy(m, m.sum(), d) to the bit. At V == 1, m = D_key, whose zero cells
+    _entropy drops (which regroups its pairwise sum): those take _entropy."""
+    d = np.array(ds, dtype=float)  # every d is exact in float64
+    passes = [] if keys is None else _rate_passes(keys)
+
+    def terms(V):
+        qL = np.minimum(1.0, (1.0 - V) / (1.0 - VL))  # 1 below V_L
+        if keys is None:
+            return qL, 1.0 - qL, _ec_isotropic(d, V)
         # H(A|B) of the shift-invariant mixed table is the entropy of its
-        # difference distribution D_m; the log of D_m / sum D_m (Bob's marginal
-        # over 1/d) keeps it exact where D_m is one point
-        mixed = [v * k + (1.0 - v) / n for n, v, k in zip(d.tolist(), V.tolist(), key)]
-        ec = np.array([_entropy(m, m.sum(), n) for n, m in zip(d.tolist(), mixed)])
-    return qL, 1.0 - qL, ec
+        # difference distribution m; the log of m / sum m (Bob's marginal
+        # over 1/d) keeps it exact where m is one point
+        white = (1.0 - V) / d
+        ec = np.empty(len(ds))
+        for a, b, flat, sizes, starts, ln_d in passes:
+            m = V[a:b].repeat(sizes) * flat + white[a:b].repeat(sizes)
+            m[starts] = 0.0
+            ratio = m / np.add.reduceat(m, starts).repeat(sizes)
+            t = m * np.log(ratio, out=np.zeros_like(m), where=m > ZERO_PROBABILITY)
+            ec[a:b] = -np.add.reduceat(t, starts) / ln_d
+        for e in np.flatnonzero(V == 1.0):
+            ec[e] = _entropy(keys[e], keys[e].sum(), ds[e])
+        return qL, 1.0 - qL, ec
+    return terms
 
 
 def _keyrate_points(d: int, Vs: list, branch: str) -> list[KeyRatePoint]:
@@ -202,8 +249,8 @@ def _keyrate_points(d: int, Vs: list, branch: str) -> list[KeyRatePoint]:
     _rate_terms call. Unchecked: the public entry points check d and Vs."""
     VL, keys = _resources([d], branch)
     n = len(Vs)
-    terms = _rate_terms(np.full(n, d), np.array(Vs, dtype=float), float(VL[0]),
-                        None if keys is None else keys * n)
+    terms = _rate_terms([d] * n, float(VL[0]), None if keys is None else keys * n)(
+        np.array(Vs, dtype=float))
     return [KeyRatePoint(V=V, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec, branch=branch)
             for V, qL, pa, ec in zip(Vs, *(t.tolist() for t in terms))]
 
@@ -263,11 +310,11 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     ds = [_check_branch(d, branch) for d in ds]
     if not ds:
         _check_branch(2, branch)  # an empty column still rejects an unknown branch
-    VL, key = _resources(ds, branch)
-    d_arr = np.array(ds, dtype=np.int64)
+    VL, keys = _resources(ds, branch)
+    terms = _rate_terms(ds, VL, keys)
 
     def f(V):
-        _, pa, ec = _rate_terms(d_arr, V, VL, key)
+        _, pa, ec = terms(V)
         return pa - ec
 
     v = _bisect(f, VL, np.ones_like(VL), labels=[f"d = {d}" for d in ds])

@@ -3,7 +3,7 @@ labels, optional horizontal zero line; output stays well under 5 KB.
 """
 from __future__ import annotations
 
-from math import floor, log10
+from math import floor, isfinite, log10
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
@@ -25,18 +25,29 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return list(ticks) if len(ticks) > 1 else [lo, hi]
 
 
+def _escape(text: str) -> str:
+    """text with the XML markup characters &, < and > as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def line_chart(xs, ys, xlabel: str, ylabel: str, title: str = "",
                zero_line: bool = True) -> str:
-    """Render one polyline with axes and tick labels; returns the SVG text."""
+    """Render one polyline with axes and tick labels; returns the SVG text.
+    ValueError unless the series have one length of at least 2, every value
+    is finite and the xs span a nonzero range."""
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need two equal-length series of at least 2 points")
+    if not all(map(isfinite, xs + ys)):
+        raise ValueError("every x and y must be finite")
     width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 28, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
     x_lo, x_hi = min(xs), max(xs)
+    if x_lo == x_hi:
+        raise ValueError(f"the xs span no range: all are {x_lo}")
     y_lo, y_hi = min(ys), max(ys)
     if zero_line:
         y_lo, y_hi = min(y_lo, 0.0), max(y_hi, 0.0)
@@ -55,7 +66,8 @@ def line_chart(xs, ys, xlabel: str, ylabel: str, title: str = "",
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     if title:
-        parts.append(f'<text x="{width / 2:.0f}" y="18" text-anchor="middle">{title}</text>')
+        parts.append(f'<text x="{width / 2:.0f}" y="18" '
+                     f'text-anchor="middle">{_escape(title)}</text>')
     # frame
     parts.append(
         f'<rect x="{margin_l}" y="{margin_t}" width="{plot_w}" height="{plot_h}" '
@@ -79,8 +91,8 @@ def line_chart(xs, ys, xlabel: str, ylabel: str, title: str = "",
     points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
     parts.append(f'<polyline points="{points}" fill="none" stroke="#1f5fbf" stroke-width="1.5"/>')
     parts.append(f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 8}" '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">{_escape(xlabel)}</text>')
     parts.append(f'<text x="14" y="{margin_t + plot_h / 2:.0f}" text-anchor="middle" '
-                 f'transform="rotate(-90 14 {margin_t + plot_h / 2:.0f})">{ylabel}</text>')
+                 f'transform="rotate(-90 14 {margin_t + plot_h / 2:.0f})">{_escape(ylabel)}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -6,11 +6,12 @@ import subprocess
 import sys
 from math import log2
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 import diqkd_cc
-from diqkd_cc import cglmp, cli, keyrate, polytope, quantum, scenario
+from diqkd_cc import cglmp, cli, keyrate, polytope, quantum, scenario, svgplot
 from diqkd_cc.cli import TABLE_HEADER, main
 
 
@@ -247,6 +248,26 @@ def test_curve_svg_on_a_float_narrow_axis_ends(tmp_path):
     chart = (tmp_path / "c.svg").read_text()
     assert chart.startswith("<svg") and "<polyline" in chart
     assert len(chart.encode()) < 5 * 1024
+
+
+@pytest.mark.parametrize("xs, ys, message", [
+    ([0.5, 0.5], [0.0, 1.0], "no range"),
+    ([0.5, 0.6], [0.0, float("nan")], "finite"),
+    ([0.5, 0.6], [0.0, float("inf")], "finite"),
+], ids=["zero-width-x", "nan-y", "infinite-y"])
+def test_line_chart_rejects_unplottable_series(xs, ys, message):
+    # these raised ZeroDivisionError, wrote "nan" coordinates and raised
+    # OverflowError
+    with pytest.raises(ValueError, match=message):
+        svgplot.line_chart(xs, ys, xlabel="V", ylabel="r")
+
+
+def test_line_chart_escapes_its_labels():
+    chart = svgplot.line_chart([0.0, 1.0], [0.0, 1.0], xlabel="a<b", ylabel="x & y",
+                               title="<d> = 3")
+    texts = [t.text for t in ElementTree.fromstring(chart).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "<d> = 3"
+    assert texts[-2:] == ["a<b", "x & y"]
 
 
 def test_curve_lp_branch(tmp_path, capsys):

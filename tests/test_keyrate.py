@@ -497,6 +497,61 @@ def test_tuned_column_holds_only_its_key_columns():
     assert held < 500_000
 
 
+def _mixed_entropies(ds, V, keys):
+    """The per-element loop that _rate_terms's flat pass replaced: the mixed
+    D_key of each element, then _entropy of it. The pass must match it to the
+    bit."""
+    mixed = [v * k + (1.0 - v) / n for n, v, k in zip(ds, V.tolist(), keys)]
+    return [keyrate._entropy(m, m.sum(), n) for n, m in zip(ds, mixed)]
+
+
+@pytest.mark.parametrize("branch, ds", [(LP_CGLMP_STATE, [*range(2, 201), 292, 394, 1024]),
+                                        (LP_MAX_ENTANGLED, list(range(2, 49)))])
+def test_flat_rate_pass_is_the_per_element_entropy(branch, ds, monkeypatch):
+    # as a column and as a one-d curve, from V_L to 1; at V = 1 the zero cells
+    # of D_key count (the tuned state's at d = 2 and 8, LP_MAX_ENTANGLED's
+    # d - 1). LP_MAX_ENTANGLED takes V_L from the closed form: 47 visibility
+    # LPs take 4 s
+    monkeypatch.setattr(keyrate, "difference_visibility",
+                        lambda D: local_visibility_max_entangled(D.shape[0]))
+    VL, keys = keyrate._resources(ds, branch)
+    rng = np.random.default_rng(23)
+    columns = [VL, (VL + 1.0) / 2.0, *(VL + (1.0 - VL) * rng.random(len(ds)) for _ in range(3)),
+               np.ones(len(ds))]
+    terms = keyrate._rate_terms(ds, VL, keys)
+    for V in columns:
+        assert terms(V)[2].tolist() == _mixed_entropies(ds, V, keys)
+    for d, vl, key, Vs in zip(ds, VL.tolist(), keys, np.transpose(columns)):
+        n = len(Vs)
+        curve = keyrate._rate_terms([d] * n, vl, [key] * n)
+        assert curve(Vs)[2].tolist() == _mixed_entropies([d] * n, Vs, [key] * n), d
+
+
+def test_tuned_curve_memory_is_its_eigensolve():
+    # tracemalloc peaks of a 2001-point d = 1024 curve: 16.95 MB with one
+    # mixed array per grid point, 16.91 MB with the rate in passes, where the
+    # 16.8 MB eigensolve sets the peak; the rate alone takes 1.0 MB, against
+    # the 16.4 MB of the per-point arrays
+    keyrate_curve(8, LP_CGLMP_STATE, 0.6, 1.0, 11)
+    tracemalloc.start()
+    try:
+        keyrate_curve(1024, LP_CGLMP_STATE, 0.6, 1.0, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_954_980
+
+    VL, keys = keyrate._resources([1024], LP_CGLMP_STATE)
+    V = np.linspace(0.6, 1.0, 2001)
+    tracemalloc.start()
+    try:
+        keyrate._rate_terms([1024] * V.size, float(VL[0]), keys * V.size)(V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_batch_validates_dimensions_and_branch():
     with pytest.raises(TypeError, match="integer"):
         critical_visibilities([3, 2.5])

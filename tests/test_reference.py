@@ -4,8 +4,8 @@ For the tuned state the reference builds the Toeplitz operator from its
 cosine sum, eigensolves it with mp.eigsy and sums D(k|x,y) directly; for the
 maximally entangled state it sums the closed form of I_d^max; all at 40
 digits. A printed cell must be the reference's rounding to 12 significant
-digits (12 decimals for idmax), and the kernels of quantum and cglmp must be
-within a few ulps of it."""
+digits (12 decimals for idmax), the kernels of quantum and cglmp must be
+within a few ulps of it, and the tuned state's EC term within its rounding."""
 import csv
 import math
 
@@ -65,6 +65,12 @@ def reference_tuned_state(d):
     return E[top], [Q[q, top] for q in range(d)]
 
 
+def reference_entropy(key, V, d):
+    """H_d of the mixed difference distribution V key + (1 - V)/d, 0 log 0 := 0."""
+    mixed = [V * p + (1 - V) / d for p in key]
+    return -mp.fsum(m * mp.log(m) for m in mixed if m) / mp.log(d)
+
+
 def test_d7_tuned_curve_cell_is_the_reference_rounding(tmp_path):
     # the d7-cglmp curve's H_AB at V = 0.71 is 0.5654950756434999..., 8e-17
     # below the rounding midpoint; the cell must print ...643. V_L = 2/lambda_max
@@ -76,9 +82,7 @@ def test_d7_tuned_curve_cell_is_the_reference_rounding(tmp_path):
     V_L = local_visibility(d, LP_CGLMP_STATE)
     assert abs(V_L - 2 / lam) <= 4 * math.ulp(V_L)
     key = reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
-    V = mpf(point.V)
-    mixed = [V * p + (1 - V) / d for p in key]
-    h_ab = -mp.fsum(m * mp.log(m) for m in mixed) / mp.log(d)
+    h_ab = reference_entropy(key, mpf(point.V), d)
     assert mp.nstr(h_ab, 12) == "0.565495075643"
 
     target = tmp_path / "curve.csv"
@@ -87,6 +91,18 @@ def test_d7_tuned_curve_cell_is_the_reference_rounding(tmp_path):
     cells = list(csv.DictReader(target.read_text().splitlines()))[row]
     assert cells["V"] == "0.71"
     assert cells["H_AB"] == mp.nstr(h_ab, 12)
+
+
+@pytest.mark.parametrize("d", [3, 8, 16])
+def test_tuned_state_ec_term_is_within_rounding_of_the_reference(d):
+    # measured: at most 5.5e-16 (d = 16), most of it the float eigenvector's
+    # rounding; at V = 1 and d = 8, D_key[4] is 0 and the rate drops the cell
+    _, c = reference_tuned_state(d)
+    key = reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+    points = [p for p in keyrate_curve(d, LP_CGLMP_STATE, 0.8, 1.0, 5) if p.V in (0.8, 0.95, 1.0)]
+    assert len(points) == 3
+    for point in points:
+        assert abs(point.ec_term - reference_entropy(key, mpf(point.V), d)) <= 2e-15, point.V
 
 
 def test_fft_kernels_are_within_a_few_ulps_of_the_reference():
