@@ -294,11 +294,26 @@ def test_curve_rejects_bad_grid(capsys):
     assert "v_min" in err or "v-min" in err
 
 
-def test_curve_unwritable_path_is_runtime_failure(capsys):
-    code, _, err = run(["curve", "--d", "2", "--v-min", "0.8", "--v-max", "1.0",
-                        "--steps", "3", "--out", "/nonexistent-dir/x.csv"], capsys)
-    assert code == 2
-    assert "failure" in err
+@pytest.mark.parametrize("argv", [
+    ["table", "--d-min", "2", "--d-max", "3"],
+    ["curve", "--d", "2", "--v-min", "0.8", "--v-max", "1.0", "--steps", "3"],
+], ids=["table", "curve"])
+def test_unwritable_out_is_usage_error(argv, tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run([*argv, "--out", str(target)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_curve_unwritable_svg_is_usage_error(tmp_path, capsys):
+    # the CSV is written before the chart, and stays written
+    csv_path, svg_path = tmp_path / "c.csv", tmp_path / "missing" / "c.svg"
+    code, out, err = run(["curve", "--d", "2", "--v-min", "0.8", "--v-max", "1.0", "--steps",
+                          "3", "--out", str(csv_path), "--svg", str(svg_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {svg_path}: No such file or directory\n"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "V,qL,H_AE,H_AB,r_ub" and len(lines) == 4
 
 
 # ------------------------------------------------------------- check-local
@@ -308,6 +323,10 @@ def test_check_local_inside_polytope(capsys):
     assert code == 0
     assert "local" in out and "nonlocal" not in out
     assert "slack" in out
+    # a negative zero prints as 0
+    code, out, _ = run(["check-local", "--d", "3", "--vtilde", "-0"], capsys)
+    assert code == 0
+    assert out == "d=3 vtilde=0: local (slack 0.000e+00, tolerance 1e-09)\n"
 
 
 def test_check_local_outside_polytope(capsys):
@@ -669,6 +688,31 @@ def test_import_pins_openblas_to_one_thread(caller, expected):
         if tasks == "-1":
             pytest.skip("no /proc/self/task to count the process's threads")
         assert tasks == "1"
+
+
+def test_cli_import_freezes_the_heap_it_finds():
+    # a plain package import leaves the collector alone; the CLI import
+    # freezes what exists then, once, and later garbage is still collected
+    env = dict(os.environ, PYTHONPATH=str(Path(diqkd_cc.__file__).resolve().parents[1]))
+    script = ("import gc, weakref\n"
+              "import diqkd_cc\n"
+              "assert gc.get_freeze_count() == 0, gc.get_freeze_count()\n"
+              "from diqkd_cc import cli\n"
+              "frozen = gc.get_freeze_count()\n"
+              "assert frozen > 0 and gc.isenabled()\n"
+              "assert cli.main(['asymptotic']) == 0\n"
+              "assert gc.get_freeze_count() == frozen, (gc.get_freeze_count(), frozen)\n"
+              "class Node:\n"
+              "    pass\n"
+              "node = Node()\n"
+              "node.self = node\n"
+              "ref = weakref.ref(node)\n"
+              "del node\n"
+              "gc.collect()\n"
+              "assert ref() is None\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_benchmark_names_are_kept():

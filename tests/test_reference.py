@@ -5,7 +5,8 @@ cosine sum, eigensolves it with mp.eigsy and sums D(k|x,y) directly; for the
 maximally entangled state it sums the closed form of I_d^max; all at 40
 digits. A printed cell must be the reference's rounding to 12 significant
 digits (12 decimals for idmax), the kernels of quantum and cglmp must be
-within a few ulps of it, and the tuned state's EC term within its rounding."""
+within a few ulps of it, and the tuned state's EC term within its rounding.
+Table cells come from the bisection replayed at 40 digits."""
 import csv
 import math
 
@@ -15,6 +16,7 @@ import pytest
 from diqkd_cc import LP_CGLMP_STATE, keyrate_curve, local_visibility
 from diqkd_cc.cglmp import _idmax_column
 from diqkd_cc.cli import main
+from diqkd_cc.keyrate import BISECTION_WIDTH
 from diqkd_cc.quantum import _SETTING_SHIFTS, _cglmp_toeplitz, cglmp_state, difference_distribution
 from diqkd_cc.scenario import Scenario
 
@@ -140,3 +142,41 @@ def test_idmax_column_is_within_a_few_ulps_of_the_reference(capsys):
         # the reference rounded to 12 decimals at 40 digits
         n = int(mp.nint(reference * 10**12))
         assert line == f"I_max (closed form) = {n // 10**12}.{n % 10**12:012d}", d
+
+
+def reference_vcrit(V_L, ec):
+    """keyrate._bisect on [V_L, 1] at 40 digits: each step's sign from the
+    reference r_ub(V) = 1 - qL - ec(V), qL = min(1, (1 - V)/(1 - V_L));
+    returns the final midpoint."""
+    lo, hi = V_L, mpf(1)
+    while hi - lo > BISECTION_WIDTH:
+        mid = (lo + hi) / 2
+        if 1 - min(1, (1 - mid) / (1 - V_L)) - ec(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def table_cells(argv, capsys):
+    """{d: [vcrit_max, vcrit_cglmp]} of the table the CLI prints."""
+    assert main(["table", *argv]) == 0
+    rows = csv.reader(capsys.readouterr().out.splitlines()[1:])
+    return {int(d): cells for d, *cells in rows}
+
+
+def test_table_cells_are_the_reference_rounding(capsys):
+    # every cell is the 12-digit rounding of the replayed reference midpoint;
+    # all 999 analytic cells to d = 1000 are too (17 s, so the test samples)
+    tuned = table_cells(["--state", "cglmp", "--d-min", "2", "--d-max", "16"], capsys)
+    for d in range(2, 17):
+        lam, c = reference_tuned_state(d)
+        key = reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+        v_crit = reference_vcrit(2 / lam, lambda V: reference_entropy(key, V, d))
+        assert tuned[d] == ["", mp.nstr(v_crit, 12)], d
+
+    analytic = table_cells(["--state", "max", "--d-min", "2", "--d-max", "1000"], capsys)
+    for d in [*range(2, 41), 97, 500, 1000]:
+        key = [1] + [0] * (d - 1)  # the perfectly correlated key table
+        v_crit = reference_vcrit(2 / reference_idmax(d), lambda V: reference_entropy(key, V, d))
+        assert analytic[d] == [mp.nstr(v_crit, 12), ""], d
