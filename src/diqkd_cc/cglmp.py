@@ -3,7 +3,8 @@ maximum on the maximally entangled state, and the d->infinity constants.
 """
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice
+from bisect import bisect_right
+from itertools import accumulate, chain
 from math import fsum, pi
 
 import numpy as np
@@ -76,51 +77,125 @@ def cglmp_coefficients(d: int) -> np.ndarray:
     return _difference_coefficients(d)[(j[None, :] - j[:, None]) % d]
 
 
-#: Terms per array pass of _idmax_column. On the d = 2..1000 column (250,000
-#: terms; medians of 40 interleaved runs on one core of a shared 2-core x86-64
-#: VM), passes of 4096 to 16384 terms take 29 to 30 ms against 50 ms for one
-#: numpy call per d, and one pass over the whole column takes 42 ms with a
-#: 16 MB tracemalloc peak (0.80 MB with 8192).
+#: Most terms in one array pass of _idmax_column. On one core of a shared
+#: 2-core x86-64 VM (CPU time; the median over 6 to 8 processes of each
+#: process's median column), the d = 2..1000 column (250,000 terms) takes
+#: 11.1 ms with passes of 8192 or 16384 terms and 12.5 ms with 4096, and
+#: d = 2..5000 268, 234 and 349 ms, against 21.5 ms and 501 ms for the fsum
+#: of every term that this replaced. The d = 2..3000 column peaks at 1.35 MB
+#: of tracemalloc with 8192 and 2.08 MB with 16384.
 _IDMAX_PASS = 8192
+#: A segment of _extract holds fewer than 2**_EXTRACT_BITS terms: any
+#: segment of a pass does.
+_EXTRACT_BITS = _IDMAX_PASS.bit_length()
+#: Passes of fewer terms than this add their terms one by one with fsum.
+#: In a fresh process, such as check-local's, the first call of each numpy
+#: loop of _extract costs 10 to 40 us, about 0.1 ms in all; the two paths
+#: break even between 2560 and 3072 terms (CPU-time medians of 31 fresh
+#: processes per size and path, same machine).
+_IDMAX_EXTRACT_MIN = 3072
+
+
+def _extract(r: np.ndarray, starts: list[int], counts: list[int]):
+    """The levels q of an error-free split of r, segment by segment
+    (ExtractVector: Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189 (2008),
+    Lemma 3.3). Segment s is r[starts[s]:starts[s] + counts[s]], contiguous
+    and in order, and holds fewer than 2**_EXTRACT_BITS = 2**M terms. With
+    sigma = 2**(M + e), where every |t| of the segment is at most 2**e, the
+    level q = (sigma + t) - sigma is t rounded to a multiple of 2**-53 sigma,
+    and q and t - q are both exact. Every q is such a multiple of modulus at
+    most 2**e = 2**(53 - M) units, so the level's segment sums stay below
+    2**53 units and are exact in any summation order (np.add.reduceat). The
+    next level splits t - q, at most 2**-53 sigma, with sigma scaled by
+    2**(M - 53); the levels end when nothing is left. So the level sums of a
+    segment add up to its terms' sum exactly. r is overwritten with what is
+    left."""
+    _, e = np.frexp(np.maximum.reduceat(np.abs(r), starts))
+    sigma = np.repeat(np.ldexp(1.0, e + _EXTRACT_BITS), counts)
+    while True:
+        q = sigma + r
+        q -= sigma
+        yield q
+        r -= q
+        if not r.any():
+            return
+        sigma *= 2.0 ** (_EXTRACT_BITS - 53)
+
+
+def _segment_partials(terms: np.ndarray, starts: list[int], counts: list[int]) -> list[list[float]]:
+    """Per segment, floats whose exact sum is the segment's sum: the terms
+    themselves for a pass of fewer than _IDMAX_EXTRACT_MIN terms, else the
+    level sums of _extract."""
+    if len(terms) < _IDMAX_EXTRACT_MIN:
+        flat = terms.tolist()
+        return [flat[a:a + n] for a, n in zip(starts, counts)]
+    levels = [np.add.reduceat(q, starts) for q in _extract(terms, starts, counts)]
+    return np.array(levels).T.tolist()
+
+
+def _idmax_slices(counts: list[int]):
+    """The passes of _idmax_passes over segments of counts[i] terms laid end
+    to end, one segment per d, as (i, t0, n): the pass holds n[s] terms of
+    segment i + s, from term index t0 on. A pass is a run of whole segments
+    with at most _IDMAX_PASS terms in all; a segment longer than that forms
+    passes of its own, in chunks of _IDMAX_PASS terms."""
+    ends = list(accumulate(counts))
+    i = t0 = 0
+    while i < len(counts):
+        j = bisect_right(ends, t0 + _IDMAX_PASS, i)
+        if j == i:
+            for t in range(t0, ends[i], _IDMAX_PASS):
+                yield i, t, [min(_IDMAX_PASS, ends[i] - t)]
+            j = i + 1
+        else:
+            yield i, t0, counts[i:j]
+        i, t0 = j, ends[j - 1]
 
 
 def _idmax_passes(ds: list[int]):
-    """The terms of every d's series, d after d and each in k order, as one
-    list per pass of _IDMAX_PASS terms (a d's terms may span passes). A pass
-    is the slice [start, start + _IDMAX_PASS) of the column's term index t;
-    t finds its d by searchsorted on the running term counts, and
-    k = t - first(d). Each term is the per-d expression of
-    idmax_closed_form, element by element: first(d), d and 2d^3 (computed
-    in Python ints, rounded once) are gathered from per-d arrays. t and k
-    are whole numbers held exactly in float64, so a pass runs only float64
-    loops: the first call of each further numpy loop costs a fresh process,
-    such as check-local's, 10 to 40 us. The arrays stay in this
-    generator's frame until the next pass replaces them: a helper function
-    that freed them on every return took a third longer on d = 2..5000."""
-    ends = list(accumulate(d // 2 for d in ds))
-    bounds = np.array(ends, dtype=float)
-    per_d = np.array([[e - d // 2 for d, e in zip(ds, ends)], ds,
-                      [2.0 * d**3 for d in ds]], dtype=float)
-    total = ends[-1] if ds else 0
-    for start in range(0, total, _IDMAX_PASS):
-        t = np.arange(start, min(start + _IDMAX_PASS, total), dtype=float)
-        first, d, c = per_d.take(bounds.searchsorted(t, side="right"), axis=1)
+    """Per d of ds, in order, a list of floats whose exact sum is the sum of
+    the terms of its series; one list of them per yield. Each pass of
+    _idmax_slices yields once, except that a d longer than a pass yields
+    after its last chunk, with all its chunks' partials. The column numbers
+    its terms by a running index t; a pass is a slice of it, the per-d
+    values first(d), d and 2d^3 (computed in Python ints, rounded once) come
+    from np.repeat, and k = t - first(d), so that each term is the per-d
+    expression of idmax_closed_form element by element, in float64 loops
+    only. The arrays stay in this generator's frame until the next pass
+    replaces them: evaluating a pass in a helper function, which frees them
+    on every return, took a fifth longer on d = 2..1000 and a quarter
+    longer on d = 2..5000."""
+    counts = [d // 2 for d in ds]
+    heads = [0, *accumulate(counts)][:-1]
+    per_d = np.array([heads, ds, [2.0 * d**3 for d in ds]], dtype=float)
+    chunks = []
+    for i, t0, n in _idmax_slices(counts):
+        t = np.arange(t0, t0 + sum(n), dtype=float)
+        first, d, c = np.repeat(per_d[:, i:i + len(n)], n, axis=1)
         k = t - first
 
         def f(k: np.ndarray) -> np.ndarray:
             return 1.0 / (c * np.sin(pi * (k + 0.25) / d) ** 2)
 
-        yield (_cglmp_weight(k, d) * (f(k) - f(-(k + 1)))).tolist()
+        terms = _cglmp_weight(k, d) * (f(k) - f(-(k + 1)))
+        partials = _segment_partials(terms, [0, *accumulate(n)][:-1], n)
+        if n[0] < counts[i]:  # a chunk of a d longer than a pass
+            chunks += partials[0]
+            if t0 + n[0] < heads[i] + counts[i]:
+                continue
+            partials, chunks = [chunks], []
+        yield partials
 
 
 def _idmax_column(ds) -> list[float]:
-    """idmax_closed_form for every d in ds, in ds order. The terms of
-    consecutive d are evaluated together, _IDMAX_PASS at a time, and each d's
-    are added with math.fsum, which is correctly rounded: grouping the terms
-    into passes moves no bit. Every d is checked before the first pass."""
+    """idmax_closed_form for every d in ds, in ds order. _idmax_passes gives
+    each d floats whose exact sum is its terms' sum, and math.fsum rounds
+    that sum correctly, so the value is the fsum of the d's terms bit for
+    bit, however the terms are split into passes and levels. Every d is
+    checked before the first pass."""
     ds = [_check_dimension(d) for d in ds]
-    terms = chain.from_iterable(_idmax_passes(ds))
-    return [4.0 * d * fsum(islice(terms, d // 2)) for d in ds]
+    partials = chain.from_iterable(_idmax_passes(ds))
+    return [4.0 * d * fsum(p) for d, p in zip(ds, partials)]
 
 
 def idmax_closed_form(d: int) -> float:
@@ -129,8 +204,8 @@ def idmax_closed_form(d: int) -> float:
     f_d(k) = 1 / (2 d^3 sin^2[pi (k + 1/4) / d]).
 
     The one-element case of _idmax_column: the terms are evaluated in numpy
-    and added with math.fsum (correctly rounded, so the sum's error does not
-    grow with d).
+    and their sum is rounded once, by math.fsum (so its error does not grow
+    with d).
     """
     return _idmax_column([d])[0]
 

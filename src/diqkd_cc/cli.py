@@ -48,7 +48,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_idmax(args) -> int:
-    d = args.d
+    d = quantum.check_born_table_dimension(args.d)
     closed = cglmp.idmax_closed_form(d)
     table = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     born = cglmp.cglmp_value(table)

@@ -1,6 +1,8 @@
 """Bell expression: value/coefficient agreement, local bound on deterministic
 points, the closed-form maximum, and the d->infinity constants."""
 import tracemalloc
+from fractions import Fraction
+from itertools import accumulate
 from math import fsum, pi, sin, sqrt
 
 import numpy as np
@@ -134,21 +136,83 @@ def test_column_splits_one_d_across_passes():
 
 def test_column_holds_one_large_d_in_bounded_memory():
     # 100,000 terms of one d over 13 passes: a layout that evaluated each d
-    # in one pass would hold all of them at once
+    # in one pass would hold all of them at once; and 2.25 M terms in runs
+    # of whole d's
     cglmp._idmax_column(range(2, 10))
-    tracemalloc.start()
-    try:
-        cglmp._idmax_column([200_000])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2_000_000
+    for ds in ([200_000], range(2, 3001)):
+        tracemalloc.start()
+        try:
+            cglmp._idmax_column(ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 def test_column_keeps_unsorted_and_repeated_ds():
     ds = [7, 3, 10**5, 3, 2, 999, 7, np.int64(40)]
     assert cglmp._idmax_column(ds) == [_idmax_per_d(int(d)) for d in ds]
     assert cglmp._idmax_column([]) == []
+
+
+def _exact_sum(xs) -> Fraction:
+    """The exact sum of floats: each is a whole multiple of 2**-1074."""
+    return Fraction(sum(n * (2**1074 // m) for n, m in map(float.as_integer_ratio, xs)), 2**1074)
+
+
+def test_extract_levels_are_exact_sums():
+    # segments of 1 to 2**M - 1 values, mixed signs, magnitudes over 2**-60
+    # to 2**60: each level's segment sum is the exact sum of its q's, the
+    # levels add up to the segment exactly, and fsum of them is fsum of it.
+    # The last segment is 2**M - 1 values just above -1, each half a step of
+    # the first level's grid off it: the largest level sum the bound allows.
+    M = cglmp._EXTRACT_BITS
+    assert cglmp._IDMAX_PASS < 2**M
+    rng = np.random.default_rng(25)
+    counts = [1, 2**M - 1, *rng.integers(1, 2**M, size=6).tolist(), 3]
+    size = sum(counts)
+    values = (rng.choice([-1.0, 1.0], size=size) * rng.uniform(1.0, 2.0, size=size)
+              * np.ldexp(1.0, rng.integers(-60, 61, size=size)))
+    edge = np.ldexp(2.0 * rng.integers(0, 2**10, size=2**M - 1) + 1.0, M - 54) - 1.0
+    counts.append(len(edge))
+    values = np.concatenate([values, edge])
+    starts = [0, *accumulate(counts)][:-1]
+    segments = [values[a:a + n].tolist() for a, n in zip(starts, counts)]
+    levels = []
+    for q in cglmp._extract(values.copy(), starts, counts):
+        level = np.add.reduceat(q, starts).tolist()
+        for a, n, s in zip(starts, counts, level):
+            assert Fraction(s) == _exact_sum(q[a:a + n].tolist())
+        levels.append(level)
+    assert 2 <= len(levels) <= 6
+    for segment, partials in zip(segments, zip(*levels)):
+        assert _exact_sum(partials) == _exact_sum(segment)
+        assert fsum(partials) == fsum(segment)
+
+
+@pytest.mark.parametrize("ds, passes", [
+    # a run of exactly one pass of terms, and one with a term more
+    ([2 * 4000, 2 * 4192], [(0, 0, [4000, 4192])]),
+    ([2 * 4000, 2 * 4192, 2], [(0, 0, [4000, 4192]), (2, 8192, [1])]),
+    ([2 * 4000, 2 * 4193], [(0, 0, [4000]), (1, 4000, [4193])]),
+    # one d of exactly a pass, and one a term longer that forms two chunks
+    ([2 * 8192], [(0, 0, [8192])]),
+    ([2 * 8192 + 2, 3], [(0, 0, [8192]), (0, 8192, [1]), (1, 8193, [1])]),
+])
+def test_column_at_pass_boundaries(ds, passes):
+    assert cglmp._IDMAX_PASS == 8192
+    assert list(cglmp._idmax_slices([d // 2 for d in ds])) == passes
+    assert cglmp._idmax_column(ds) == [_idmax_per_d(d) for d in ds]
+
+
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_column_at_the_extraction_cutoff(shift):
+    # passes of cutoff - 1 terms add every term with fsum, longer ones their
+    # level sums: one d, and a run of several, on each side
+    n = cglmp._IDMAX_EXTRACT_MIN + shift
+    for ds in ([2 * n], [2 * (n - 15), 7, 7, 7, 7, 7]):
+        assert sum(d // 2 for d in ds) == n
+        assert cglmp._idmax_column(ds) == [_idmax_per_d(d) for d in ds]
 
 
 @pytest.mark.parametrize("bad, error", [(3.0, TypeError), (True, ValueError), (1, ValueError)])

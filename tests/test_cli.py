@@ -4,6 +4,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import log2
 from pathlib import Path
 from xml.etree import ElementTree
@@ -29,6 +30,29 @@ def test_idmax_d2(capsys):
     assert out.count("2.828427124746") == 2
     diff = float(out.strip().splitlines()[-1].split("=")[1])
     assert diff <= 1e-10
+
+
+def test_idmax_above_born_table_limit_fails_before_any_allocation(monkeypatch, capsys):
+    # d = 20,000 would allocate 6.4 GB of amplitudes for the Born-rule line
+    def refuse(d):
+        raise AssertionError(f"I_d^max evaluated for d={d}")
+
+    monkeypatch.setattr(cglmp, "idmax_closed_form", refuse)
+    monkeypatch.setattr(quantum, "maximally_entangled_state", refuse)
+    limit = quantum.BORN_TABLE_MAX_D
+    assert limit == 512
+    assert quantum.check_born_table_dimension(limit) == limit
+    for d in (limit + 1, 20_000):
+        tracemalloc.start()
+        try:
+            code, out, err = run(["idmax", "--d", str(d)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err == f"error: d = {d} exceeds the Born-table limit d <= {limit}\n"
+        assert peak < 100_000
 
 
 @pytest.mark.parametrize("d", ["1", "0"])
