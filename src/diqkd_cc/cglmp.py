@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate, chain
-from math import fsum, pi
+from math import fsum, pi, sin
 
 import numpy as np
 
@@ -88,12 +88,15 @@ _IDMAX_PASS = 8192
 #: A segment of _extract holds fewer than 2**_EXTRACT_BITS terms: any
 #: segment of a pass does.
 _EXTRACT_BITS = _IDMAX_PASS.bit_length()
-#: Passes of fewer terms than this add their terms one by one with fsum.
-#: In a fresh process, such as check-local's, the first call of each numpy
-#: loop of _extract costs 10 to 40 us, about 0.1 ms in all; the two paths
-#: break even between 2560 and 3072 terms (CPU-time medians of 31 fresh
+#: A column of fewer terms than this in all is evaluated by _idmax_series,
+#: in scalar math with no numpy call, a longer one in array passes. In a
+#: fresh process, such as each command's, the series costs about 30 us plus
+#: 0.5 to 0.7 us per term, and the first array pass 280 to 340 us, most of
+#: it the first call of each numpy loop: they break even near 500 terms (one
+#: d, or a run of d's). Once the loops have run, the passes are cheaper and
+#: the series wins below about 100 terms only (wall-time medians of 9 to 11
 #: processes per size and path, same machine).
-_IDMAX_EXTRACT_MIN = 3072
+_IDMAX_SERIES_MAX = 256
 
 
 def _extract(r: np.ndarray, starts: list[int], counts: list[int]):
@@ -122,17 +125,6 @@ def _extract(r: np.ndarray, starts: list[int], counts: list[int]):
         sigma *= 2.0 ** (_EXTRACT_BITS - 53)
 
 
-def _segment_partials(terms: np.ndarray, starts: list[int], counts: list[int]) -> list[list[float]]:
-    """Per segment, floats whose exact sum is the segment's sum: the terms
-    themselves for a pass of fewer than _IDMAX_EXTRACT_MIN terms, else the
-    level sums of _extract."""
-    if len(terms) < _IDMAX_EXTRACT_MIN:
-        flat = terms.tolist()
-        return [flat[a:a + n] for a, n in zip(starts, counts)]
-    levels = [np.add.reduceat(q, starts) for q in _extract(terms, starts, counts)]
-    return np.array(levels).T.tolist()
-
-
 def _idmax_slices(counts: list[int]):
     """The passes of _idmax_passes over segments of counts[i] terms laid end
     to end, one segment per d, as (i, t0, n): the pass holds n[s] terms of
@@ -153,9 +145,9 @@ def _idmax_slices(counts: list[int]):
 
 
 def _idmax_passes(ds: list[int]):
-    """Per d of ds, in order, a list of floats whose exact sum is the sum of
-    the terms of its series; one list of them per yield. Each pass of
-    _idmax_slices yields once, except that a d longer than a pass yields
+    """Per d of ds, in order, the level sums of _extract, floats whose exact
+    sum is the sum of the terms of its series; one list of them per yield.
+    Each pass of _idmax_slices yields once, except that a d longer than a pass yields
     after its last chunk, with all its chunks' partials. The column numbers
     its terms by a running index t; a pass is a slice of it, the per-d
     values first(d), d and 2d^3 (computed in Python ints, rounded once) come
@@ -178,7 +170,9 @@ def _idmax_passes(ds: list[int]):
             return 1.0 / (c * np.sin(pi * (k + 0.25) / d) ** 2)
 
         terms = _cglmp_weight(k, d) * (f(k) - f(-(k + 1)))
-        partials = _segment_partials(terms, [0, *accumulate(n)][:-1], n)
+        starts = [0, *accumulate(n)][:-1]
+        partials = np.array([np.add.reduceat(q, starts)
+                             for q in _extract(terms, starts, n)]).T.tolist()
         if n[0] < counts[i]:  # a chunk of a d longer than a pass
             chunks += partials[0]
             if t0 + n[0] < heads[i] + counts[i]:
@@ -187,13 +181,30 @@ def _idmax_passes(ds: list[int]):
         yield partials
 
 
+def _idmax_series(d: int) -> float:
+    """idmax_closed_form of one d, term by term in stdlib math: each term
+    takes the operations of _idmax_passes, one IEEE rounding each, with
+    math.sin for np.sin (the same C library sin on the builds tested; the
+    tests pin the two paths equal), and one math.fsum adds the terms."""
+    c = 2.0 * d**3
+
+    def f(k: int) -> float:
+        s = sin(pi * (k + 0.25) / d)
+        return 1.0 / (c * (s * s))
+
+    return 4.0 * d * fsum(_cglmp_weight(k, d) * (f(k) - f(-(k + 1))) for k in range(d // 2))
+
+
 def _idmax_column(ds) -> list[float]:
-    """idmax_closed_form for every d in ds, in ds order. _idmax_passes gives
-    each d floats whose exact sum is its terms' sum, and math.fsum rounds
-    that sum correctly, so the value is the fsum of the d's terms bit for
-    bit, however the terms are split into passes and levels. Every d is
-    checked before the first pass."""
+    """idmax_closed_form for every d in ds, in ds order. A column of fewer
+    than _IDMAX_SERIES_MAX terms in all takes _idmax_series per d. Otherwise
+    _idmax_passes gives each d floats whose exact sum is its terms' sum, and
+    math.fsum rounds that sum correctly, so the value is the fsum of the d's
+    terms bit for bit, however the terms are split into passes and levels:
+    the series' value. Every d is checked before any term is evaluated."""
     ds = [_check_dimension(d) for d in ds]
+    if sum(d // 2 for d in ds) < _IDMAX_SERIES_MAX:
+        return [_idmax_series(d) for d in ds]
     partials = chain.from_iterable(_idmax_passes(ds))
     return [4.0 * d * fsum(p) for d, p in zip(ds, partials)]
 
@@ -203,9 +214,9 @@ def idmax_closed_form(d: int) -> float:
     4d * sum_{k=0}^{[d/2]-1} (1 - 2k/(d-1)) (f_d(k) - f_d(-(k+1))),
     f_d(k) = 1 / (2 d^3 sin^2[pi (k + 1/4) / d]).
 
-    The one-element case of _idmax_column: the terms are evaluated in numpy
-    and their sum is rounded once, by math.fsum (so its error does not grow
-    with d).
+    The one-element case of _idmax_column: the terms are evaluated in scalar
+    math for d < 2 * _IDMAX_SERIES_MAX, in numpy above, and their sum is
+    rounded once, by math.fsum (so its error does not grow with d).
     """
     return _idmax_column([d])[0]
 

@@ -14,11 +14,12 @@ from .cglmp import CATALAN, LOCAL_BOUND, _idmax_column
 from .polytope import check_visibility_lp_dimension, difference_visibility
 from .quantum import (
     _cglmp_toeplitz,
+    _key_differences,
     _top_eigenpair,
     check_tuned_state_dimension,
     difference_distribution,
 )
-from .scenario import CorrelationTable, Scenario, _check_dimension, _check_visibility
+from .scenario import CorrelationTable, _check_dimension, _check_visibility
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
@@ -143,35 +144,34 @@ def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray]
     passed _check_branch. Single-d callers take the one-element case.
 
     Analytic branch: V_L = 2/I_d^max for the whole column from one
-    cglmp._idmax_column call, which evaluates the closed form's terms in
-    array passes.
+    cglmp._idmax_column call, which evaluates the closed form's terms as a
+    scalar series for a short column and in array passes for a long one.
 
     Off the analytic branch the state is sum_q c_q |qq>, one d at a time:
     c_q is the top eigenvector of the tuned state's d x d Toeplitz CGLMP
-    operator, or uniform, and D(k|x,y) is its DFT
-    (quantum.difference_distribution), of which the rate reads the key
-    column. Only V_L differs. Tuned state: the eigensolve that gives c_q also
-    gives the top eigenvalue lambda_max, the state's CGLMP value, and
-    V_L = 2/lambda_max. CGLMP is a Bell inequality with local bound 2 and
-    white noise scores 0, so V_L <= 2/lambda_max for every table; the
-    visibility LP attains it, with the CGLMP functional as its dual (the
-    tests certify this for d = 2..32 and 48).
+    operator, or uniform, and the rate reads the key column of its
+    difference distribution D(k|x,y), one inverse DFT of c_q
+    (quantum._key_differences). Only V_L differs. Tuned state: the
+    eigensolve that gives c_q also gives the top eigenvalue lambda_max, the
+    state's CGLMP value, and V_L = 2/lambda_max. CGLMP is a Bell inequality
+    with local bound 2 and white noise scores 0, so V_L <= 2/lambda_max for
+    every table; the visibility LP attains it, with the CGLMP functional as
+    its dual (the tests certify this for d = 2..32 and 48).
     LP_MAX_ENTANGLED: V_L comes from one visibility LP over Alice's outcome
     pairs (Fine, PRL 48, 291 (1982)) on the whole D, 3d^2 + 1 columns and
     8d + 1 rows (difference_visibility).
     """
     if branch == ANALYTIC_MAX_ENTANGLED:
         return LOCAL_BOUND / np.array(_idmax_column(ds), dtype=float), None
-    key = np.s_[:, Scenario.keyX - 1, Scenario.keyY - 1]
     VL, keys = [], []
     for d in ds:
         if branch == LP_CGLMP_STATE:
             lam, c = _top_eigenpair(_cglmp_toeplitz(d))
+            VL.append(LOCAL_BOUND / lam)
         else:
-            lam, c = None, np.full(d, 1.0 / sqrt(d))
-        D = difference_distribution(c)
-        VL.append(difference_visibility(D) if lam is None else LOCAL_BOUND / lam)
-        keys.append(D[key].copy())  # a view would keep all of D alive per d
+            c = np.full(d, 1.0 / sqrt(d))
+            VL.append(difference_visibility(difference_distribution(c)))
+        keys.append(_key_differences(c))
     return np.array(VL, dtype=float), keys
 
 

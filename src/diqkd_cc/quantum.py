@@ -11,12 +11,14 @@ symmetric, and c_q is real. Its entries and the difference distribution
 D(k|x,y) of a state are both DFTs, of the term weights and of the
 amplitudes, and are computed with FFTs. The top eigenvalue lambda_max of the
 operator's real eigensolve is the state's CGLMP value, which gives the local
-visibility 2/lambda_max, and its table enters only through D(k|x,y). The
-dense eigensolve bounds d: TUNED_STATE_MAX_D. The full Born table remains as
-the reference the difference distribution is tested against, and serves
-idmax up to BORN_TABLE_MAX_D; the d^2 x d^2 operator that the Toeplitz
-matrix restricts lives in the tests. check-local builds no table: it reads
-V_L = 2/I_d^max from the closed form.
+visibility 2/lambda_max, and its table enters only through D(k|x,y), of
+which the key rate reads the key-setting column: the inverse DFT of c_q
+itself. The dense eigensolve bounds d: TUNED_STATE_MAX_D. The full Born
+table remains as the reference the difference distribution is tested
+against, and serves idmax up to BORN_TABLE_MAX_D; the d^2 x d^2 operator
+that the Toeplitz matrix restricts lives in the tests. check-local uses
+nothing here: it reads V_L = 2/I_d^max from the closed form, which for
+d < 512 is a stdlib series that calls no numpy.
 """
 from __future__ import annotations
 
@@ -226,3 +228,10 @@ def difference_distribution(c: np.ndarray) -> np.ndarray:
     d = _check_dimension(c.size)
     twisted = c * np.exp(2j * pi / d * np.multiply.outer(_SETTING_SHIFTS, np.arange(d)))
     return np.moveaxis(np.abs(ifft(twisted, norm="forward")) ** 2 / d, -1, 0)
+
+
+def _key_differences(c: np.ndarray) -> np.ndarray:
+    """The key-setting column D[:, keyX-1, keyY-1] of difference_distribution,
+    alone: s_xy is 0 at the key pair, so it is |inverse DFT of c_q|^2 / d,
+    with the same operations as that column. Unchecked."""
+    return np.abs(ifft(c, norm="forward")) ** 2 / len(c)

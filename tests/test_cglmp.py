@@ -205,22 +205,33 @@ def test_column_at_pass_boundaries(ds, passes):
     assert cglmp._idmax_column(ds) == [_idmax_per_d(d) for d in ds]
 
 
+def _refuse(*args):
+    raise AssertionError("a term was evaluated")
+
+
 @pytest.mark.parametrize("shift", [-1, 0, 1])
-def test_column_at_the_extraction_cutoff(shift):
-    # passes of cutoff - 1 terms add every term with fsum, longer ones their
-    # level sums: one d, and a run of several, on each side
-    n = cglmp._IDMAX_EXTRACT_MIN + shift
+def test_column_at_the_series_cutoff(shift, monkeypatch):
+    # a column of cutoff - 1 terms takes the series, longer ones the array
+    # passes: one d, and a run of several, on each side
+    n = cglmp._IDMAX_SERIES_MAX + shift
+    monkeypatch.setattr(cglmp, "_idmax_passes" if n < cglmp._IDMAX_SERIES_MAX else "_idmax_series",
+                        _refuse)
     for ds in ([2 * n], [2 * (n - 15), 7, 7, 7, 7, 7]):
         assert sum(d // 2 for d in ds) == n
         assert cglmp._idmax_column(ds) == [_idmax_per_d(d) for d in ds]
 
 
+def test_series_is_the_per_d_expression_bit_for_bit():
+    # math.sin in place of np.sin, term by term: this fails first on a numpy
+    # build whose float64 sin is not the C library's
+    for d in [*range(2, 3001), 10**4, 10**5 + 3]:
+        assert cglmp._idmax_series(d) == _idmax_per_d(d), d
+
+
 @pytest.mark.parametrize("bad, error", [(3.0, TypeError), (True, ValueError), (1, ValueError)])
 def test_column_rejects_invalid_d_before_any_pass(bad, error, monkeypatch):
-    def refuse(ds):
-        raise AssertionError("a pass ran")
-
-    monkeypatch.setattr(cglmp, "_idmax_passes", refuse)
+    monkeypatch.setattr(cglmp, "_idmax_passes", _refuse)
+    monkeypatch.setattr(cglmp, "_idmax_series", _refuse)
     with pytest.raises(error):
         cglmp._idmax_column([3, 4, bad])
 

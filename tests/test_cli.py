@@ -417,7 +417,7 @@ def test_vcrit_tuned_state_runs_past_the_lp_limit(capsys):
 
 def test_memory_error_is_numerical_failure(monkeypatch, capsys):
     # numpy reports an allocation it cannot make as a MemoryError; check-local
-    # allocates the d/2 terms of I_d^max
+    # at a large d allocates the d/2 terms of I_d^max in array passes
     def exhausted(d):
         raise MemoryError("Unable to allocate an array")
 
@@ -429,13 +429,15 @@ def test_memory_error_is_numerical_failure(monkeypatch, capsys):
 
 
 def test_memory_error_in_a_closed_form_pass_is_numerical_failure(monkeypatch, capsys):
-    # table --state max evaluates I_d^max for its column in array passes
+    # table --state max evaluates I_d^max for a column above the series
+    # cutoff in array passes
     def exhausted(ds):
         raise MemoryError("Unable to allocate an array")
         yield
 
     monkeypatch.setattr(cglmp, "_idmax_passes", exhausted)
-    code, out, err = run(["table", "--state", "max", "--d-min", "2", "--d-max", "5"], capsys)
+    assert sum(d // 2 for d in range(2, 101)) >= cglmp._IDMAX_SERIES_MAX
+    code, out, err = run(["table", "--state", "max", "--d-min", "2", "--d-max", "100"], capsys)
     assert code == 2
     assert out == ""
     assert err == "numerical failure: Unable to allocate an array\n"
@@ -650,6 +652,28 @@ def test_check_local_solves_no_lp(lp_counter, capsys):
     assert out == "d=10 vtilde=0.69: nonlocal (slack 1.403e-02, tolerance 1e-09)\n"
     assert lp_counter == []
     assert polytope._strategy_matrix.cache_info().misses == 0
+
+
+class _NoNumpy:
+    """Stands in for a module's numpy: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_check_local_runs_no_numpy(monkeypatch, capsys):
+    # V_L = 2/I_10^max has 5 terms, a column for the stdlib series: with the
+    # array passes refused and numpy taken from every module of the package,
+    # the command prints its usual line
+    def refuse(ds):
+        raise AssertionError("an array pass ran")
+
+    monkeypatch.setattr(cglmp, "_idmax_passes", refuse)
+    for module in (cglmp, keyrate, polytope, quantum, scenario):
+        monkeypatch.setattr(module, "np", _NoNumpy())
+    code, out, err = run(["check-local", "--d", "10", "--vtilde", "0.69"], capsys)
+    assert (code, err) == (0, "")
+    assert out == "d=10 vtilde=0.69: nonlocal (slack 1.403e-02, tolerance 1e-09)\n"
 
 
 def test_table_output_does_not_depend_on_optimize_flag(tmp_path):

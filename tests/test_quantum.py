@@ -28,10 +28,11 @@ from diqkd_cc.quantum import (
     CGLMP_BOB_PHASES,
     _cglmp_toeplitz,
     _diagonal_state,
+    _key_differences,
     _top_eigenpair,
     difference_distribution,
 )
-from diqkd_cc.scenario import _differences
+from diqkd_cc.scenario import Scenario, _differences
 
 HERMITICITY_TOL = 1e-12
 
@@ -369,6 +370,16 @@ def test_difference_distribution_matches_born_table(d):
         assert D.shape == (d, 2, 3)
         reference = _differences(cglmp_born_table(state))
         assert np.max(np.abs(D - reference)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_key_column_alone_is_the_difference_distribution_column(d):
+    # s_xy is 0 at the key pair, so one inverse DFT of c_q gives that column
+    # bit for bit: for the tuned eigenvector and the uniform amplitudes that
+    # the key-rate layer passes
+    for c in (_top_eigenpair(_cglmp_toeplitz(d))[1], np.full(d, 1.0 / sqrt(d))):
+        key = difference_distribution(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+        assert np.array_equal(_key_differences(c), key), d
 
 
 @pytest.mark.parametrize("c", [[], [1.0], [np.nan, 1.0], [[0.5, 0.5], [0.5, 0.5]]],

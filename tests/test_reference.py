@@ -180,3 +180,14 @@ def test_table_cells_are_the_reference_rounding(capsys):
         key = [1] + [0] * (d - 1)  # the perfectly correlated key table
         v_crit = reference_vcrit(2 / reference_idmax(d), lambda V: reference_entropy(key, V, d))
         assert analytic[d] == [mp.nstr(v_crit, 12), ""], d
+
+
+@pytest.mark.parametrize("d", [20, 24, 29, 32])
+def test_tuned_table_cell_is_the_reference_rounding_to_d32(d, capsys):
+    # the tuned column beyond d = 16, one d per test: mp.eigsy takes up to
+    # 0.7 s at d = 32
+    tuned = table_cells(["--state", "cglmp", "--d-min", str(d), "--d-max", str(d)], capsys)
+    lam, c = reference_tuned_state(d)
+    key = reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+    v_crit = reference_vcrit(2 / lam, lambda V: reference_entropy(key, V, d))
+    assert tuned == {d: ["", mp.nstr(v_crit, 12)]}
