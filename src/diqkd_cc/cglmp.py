@@ -3,8 +3,7 @@ maximum on the maximally entangled state, and the d->infinity constants.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import fsum, pi, sin
 
 import numpy as np
@@ -82,8 +81,8 @@ def cglmp_coefficients(d: int) -> np.ndarray:
 #: process's median column), the d = 2..1000 column (250,000 terms) takes
 #: 11.1 ms with passes of 8192 or 16384 terms and 12.5 ms with 4096, and
 #: d = 2..5000 268, 234 and 349 ms, against 21.5 ms and 501 ms for the fsum
-#: of every term that this replaced. The d = 2..3000 column peaks at 1.35 MB
-#: of tracemalloc with 8192 and 2.08 MB with 16384.
+#: of every term that this replaced. The d = 2..3000 column peaks at 1.73 MB
+#: of tracemalloc with 8192 and 2.50 MB with 16384.
 _IDMAX_PASS = 8192
 #: A segment of _extract holds fewer than 2**_EXTRACT_BITS terms: any
 #: segment of a pass does.
@@ -125,74 +124,56 @@ def _extract(r: np.ndarray, starts: list[int], counts: list[int]):
         sigma *= 2.0 ** (_EXTRACT_BITS - 53)
 
 
-def _idmax_slices(counts: list[int]):
-    """The passes of _idmax_passes over segments of counts[i] terms laid end
-    to end, one segment per d, as (i, t0, n): the pass holds n[s] terms of
-    segment i + s, from term index t0 on. A pass is a run of whole segments
-    with at most _IDMAX_PASS terms in all; a segment longer than that forms
-    passes of its own, in chunks of _IDMAX_PASS terms."""
-    ends = list(accumulate(counts))
-    i = t0 = 0
-    while i < len(counts):
-        j = bisect_right(ends, t0 + _IDMAX_PASS, i)
-        if j == i:
-            for t in range(t0, ends[i], _IDMAX_PASS):
-                yield i, t, [min(_IDMAX_PASS, ends[i] - t)]
-            j = i + 1
-        else:
-            yield i, t0, counts[i:j]
-        i, t0 = j, ends[j - 1]
+def _idmax_term(k, d, c, sin):
+    """Term k of idmax_closed_form's series for d, with c = 2d^3: w_k (1/(c s^2)
+    - 1/(c r^2)), s = sin(pi (k + 1/4)/d) and r the same at -(k+1). Numbers with
+    math.sin and float64 arrays with np.sin take the same IEEE operations in
+    the same order: the tests pin the two equal term by term."""
+    w = _cglmp_weight(k, d)  # first, for the heap: see _idmax_passes
+    s = sin(pi * (k + 0.25) / d)
+    r = sin(pi * (-(k + 1) + 0.25) / d)
+    return w * (1.0 / (c * (s * s)) - 1.0 / (c * (r * r)))
 
 
-def _idmax_passes(ds: list[int]):
+def _idmax_passes(ds: list[int]) -> list[list[float]]:
     """Per d of ds, in order, the level sums of _extract, floats whose exact
-    sum is the sum of the terms of its series; one list of them per yield.
-    Each pass of _idmax_slices yields once, except that a d longer than a pass yields
-    after its last chunk, with all its chunks' partials. The column numbers
-    its terms by a running index t; a pass is a slice of it, the per-d
-    values first(d), d and 2d^3 (computed in Python ints, rounded once) come
-    from np.repeat, and k = t - first(d), so that each term is the per-d
-    expression of idmax_closed_form element by element, in float64 loops
-    only. The arrays stay in this generator's frame until the next pass
-    replaces them: evaluating a pass in a helper function, which frees them
-    on every return, took a fifth longer on d = 2..1000 and a quarter
-    longer on d = 2..5000."""
+    sum is the sum of the terms of its series. Each pass evaluates the slice
+    [t0, t0 + _IDMAX_PASS) of the column's running term index t, cut at the
+    ends of the d's it meets: first(d), d and 2d^3 (Python ints, rounded
+    once) come from one np.repeat over the pieces and k = t - first(d), so
+    each term is _idmax_term element by element, in float64 loops only. The
+    arrays t, k and terms stay in this frame until the next pass replaces
+    them, and _idmax_term computes w first, so that each pass reuses the heap
+    of the last: in a fresh process the d = 2..5000 column took 650 to 900
+    minor page faults, and 9,000 to 25,000 with t freed at once or w last."""
     counts = [d // 2 for d in ds]
-    heads = [0, *accumulate(counts)][:-1]
-    per_d = np.array([heads, ds, [2.0 * d**3 for d in ds]], dtype=float)
-    chunks = []
-    for i, t0, n in _idmax_slices(counts):
-        t = np.arange(t0, t0 + sum(n), dtype=float)
-        first, d, c = np.repeat(per_d[:, i:i + len(n)], n, axis=1)
+    ends = list(accumulate(counts))
+    per_d = np.array([[e - n for e, n in zip(ends, counts)], ds, [2.0 * d**3 for d in ds]])
+    partials = [[] for _ in ds]
+    i = 0  # the d that the slice starts in
+    for t0 in range(0, sum(counts), _IDMAX_PASS):
+        t1 = min(t0 + _IDMAX_PASS, ends[-1])
+        j = i
+        while ends[j] < t1:
+            j += 1
+        cuts = [t0, *ends[i:j], t1]
+        n = [b - a for a, b in zip(cuts, cuts[1:])]
+        starts = [a - t0 for a in cuts[:-1]]
+        first, d, c = np.repeat(per_d[:, i:j + 1], n, axis=1)
+        t = np.arange(t0, t1, dtype=float)
         k = t - first
-
-        def f(k: np.ndarray) -> np.ndarray:
-            return 1.0 / (c * np.sin(pi * (k + 0.25) / d) ** 2)
-
-        terms = _cglmp_weight(k, d) * (f(k) - f(-(k + 1)))
-        starts = [0, *accumulate(n)][:-1]
-        partials = np.array([np.add.reduceat(q, starts)
-                             for q in _extract(terms, starts, n)]).T.tolist()
-        if n[0] < counts[i]:  # a chunk of a d longer than a pass
-            chunks += partials[0]
-            if t0 + n[0] < heads[i] + counts[i]:
-                continue
-            partials, chunks = [chunks], []
-        yield partials
+        terms = _idmax_term(k, d, c, np.sin)
+        for q in _extract(terms, starts, n):
+            for p, level in zip(partials[i:j + 1], np.add.reduceat(q, starts).tolist()):
+                p.append(level)
+        i = j + (ends[j] == t1)
+    return partials
 
 
 def _idmax_series(d: int) -> float:
-    """idmax_closed_form of one d, term by term in stdlib math: each term
-    takes the operations of _idmax_passes, one IEEE rounding each, with
-    math.sin for np.sin (the same C library sin on the builds tested; the
-    tests pin the two paths equal), and one math.fsum adds the terms."""
-    c = 2.0 * d**3
-
-    def f(k: int) -> float:
-        s = sin(pi * (k + 0.25) / d)
-        return 1.0 / (c * (s * s))
-
-    return 4.0 * d * fsum(_cglmp_weight(k, d) * (f(k) - f(-(k + 1))) for k in range(d // 2))
+    """idmax_closed_form of one d in stdlib math: _idmax_term with math.sin
+    for each k, the terms added by one math.fsum."""
+    return 4.0 * d * fsum(_idmax_term(k, d, 2.0 * d**3, sin) for k in range(d // 2))
 
 
 def _idmax_column(ds) -> list[float]:
@@ -200,13 +181,12 @@ def _idmax_column(ds) -> list[float]:
     than _IDMAX_SERIES_MAX terms in all takes _idmax_series per d. Otherwise
     _idmax_passes gives each d floats whose exact sum is its terms' sum, and
     math.fsum rounds that sum correctly, so the value is the fsum of the d's
-    terms bit for bit, however the terms are split into passes and levels:
-    the series' value. Every d is checked before any term is evaluated."""
+    terms bit for bit, however the slices and levels split them: the
+    series' value. Every d is checked before any term is evaluated."""
     ds = [_check_dimension(d) for d in ds]
     if sum(d // 2 for d in ds) < _IDMAX_SERIES_MAX:
         return [_idmax_series(d) for d in ds]
-    partials = chain.from_iterable(_idmax_passes(ds))
-    return [4.0 * d * fsum(p) for d, p in zip(ds, partials)]
+    return [4.0 * d * fsum(p) for d, p in zip(ds, _idmax_passes(ds))]
 
 
 def idmax_closed_form(d: int) -> float:
@@ -214,9 +194,9 @@ def idmax_closed_form(d: int) -> float:
     4d * sum_{k=0}^{[d/2]-1} (1 - 2k/(d-1)) (f_d(k) - f_d(-(k+1))),
     f_d(k) = 1 / (2 d^3 sin^2[pi (k + 1/4) / d]).
 
-    The one-element case of _idmax_column: the terms are evaluated in scalar
-    math for d < 2 * _IDMAX_SERIES_MAX, in numpy above, and their sum is
-    rounded once, by math.fsum (so its error does not grow with d).
+    The one-element case of _idmax_column: each term is _idmax_term, in stdlib
+    math for d < 2 * _IDMAX_SERIES_MAX and in numpy passes above, and their
+    sum is rounded once, by math.fsum (so its error does not grow with d).
     """
     return _idmax_column([d])[0]
 

@@ -145,7 +145,7 @@ def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray]
 
     Analytic branch: V_L = 2/I_d^max for the whole column from one
     cglmp._idmax_column call, which evaluates the closed form's terms as a
-    scalar series for a short column and in array passes for a long one.
+    scalar series for a short column and in fixed array slices for a long one.
 
     Off the analytic branch the state is sum_q c_q |qq>, one d at a time:
     c_q is the top eigenvector of the tuned state's d x d Toeplitz CGLMP

@@ -190,18 +190,24 @@ def test_extract_levels_are_exact_sums():
         assert fsum(partials) == fsum(segment)
 
 
-@pytest.mark.parametrize("ds, passes", [
-    # a run of exactly one pass of terms, and one with a term more
-    ([2 * 4000, 2 * 4192], [(0, 0, [4000, 4192])]),
-    ([2 * 4000, 2 * 4192, 2], [(0, 0, [4000, 4192]), (2, 8192, [1])]),
-    ([2 * 4000, 2 * 4193], [(0, 0, [4000]), (1, 4000, [4193])]),
-    # one d of exactly a pass, and one a term longer that forms two chunks
-    ([2 * 8192], [(0, 0, [8192])]),
-    ([2 * 8192 + 2, 3], [(0, 0, [8192]), (0, 8192, [1]), (1, 8193, [1])]),
-])
-def test_column_at_pass_boundaries(ds, passes):
-    assert cglmp._IDMAX_PASS == 8192
-    assert list(cglmp._idmax_slices([d // 2 for d in ds])) == passes
+_PASS = cglmp._IDMAX_PASS
+
+
+@pytest.mark.parametrize("counts", [
+    # a column that ends exactly at a slice end, and one with a term more
+    [_PASS // 2, _PASS - _PASS // 2],
+    [_PASS // 2, _PASS - _PASS // 2, 1],
+    # a d cut by a slice boundary
+    [_PASS // 2, _PASS // 2 + 1],
+    # one d of exactly a slice, and one a term longer
+    [_PASS],
+    [_PASS + 1, 1],
+    # a d that starts in one slice and ends in the third, then d = 2
+    [3, 2 * _PASS + 1, 1],
+], ids=["slice-end", "slice-end-plus-1", "d-cut", "d-of-a-slice", "d-of-a-slice-plus-1",
+        "d-over-three-slices"])
+def test_column_at_pass_boundaries(counts):
+    ds = [2 * n for n in counts]  # d = 2n has n terms
     assert cglmp._idmax_column(ds) == [_idmax_per_d(d) for d in ds]
 
 
@@ -223,7 +229,12 @@ def test_column_at_the_series_cutoff(shift, monkeypatch):
 
 def test_series_is_the_per_d_expression_bit_for_bit():
     # math.sin in place of np.sin, term by term: this fails first on a numpy
-    # build whose float64 sin is not the C library's
+    # build whose float64 sin is not the C library's. Both paths evaluate
+    # _idmax_term, so each of its terms must agree, not only their sums.
+    for d in range(2, 3001):
+        c = 2.0 * d**3
+        terms = cglmp._idmax_term(np.arange(d // 2, dtype=float), float(d), c, np.sin)
+        assert [cglmp._idmax_term(k, d, c, sin) for k in range(d // 2)] == terms.tolist(), d
     for d in [*range(2, 3001), 10**4, 10**5 + 3]:
         assert cglmp._idmax_series(d) == _idmax_per_d(d), d
 

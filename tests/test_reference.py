@@ -6,7 +6,8 @@ maximally entangled state it sums the closed form of I_d^max; all at 40
 digits. A printed cell must be the reference's rounding to 12 significant
 digits (12 decimals for idmax), the kernels of quantum and cglmp must be
 within a few ulps of it, and the tuned state's EC term within its rounding.
-Table cells come from the bisection replayed at 40 digits."""
+Table cells come from the bisection replayed at 40 digits; every cell of the
+gated curves is within 4e-15 of the reference before its rounding."""
 import csv
 import math
 
@@ -15,10 +16,11 @@ import pytest
 
 from diqkd_cc import LP_CGLMP_STATE, keyrate_curve, local_visibility
 from diqkd_cc.cglmp import _idmax_column
-from diqkd_cc.cli import main
+from diqkd_cc.cli import BRANCH_OF_STATE, main
 from diqkd_cc.keyrate import BISECTION_WIDTH
 from diqkd_cc.quantum import _SETTING_SHIFTS, _cglmp_toeplitz, cglmp_state, difference_distribution
 from diqkd_cc.scenario import Scenario
+from test_cli import GATED_CURVES
 
 mpmath = pytest.importorskip("mpmath")
 mp, mpf = mpmath.mp, mpmath.mpf
@@ -142,6 +144,39 @@ def test_idmax_column_is_within_a_few_ulps_of_the_reference(capsys):
         # the reference rounded to 12 decimals at 40 digits
         n = int(mp.nint(reference * 10**12))
         assert line == f"I_max (closed form) = {n // 10**12}.{n % 10**12:012d}", d
+
+
+@pytest.mark.parametrize("argv", list(GATED_CURVES), ids=["d7-cglmp", "d3-max", "d3-cglmp-bits"])
+def test_gated_curve_cells_are_within_a_few_ulps_of_the_reference(argv, tmp_path):
+    # every cell's value before its 12-digit rounding, against the reference
+    # at the curve's float V (V itself against the decimal grid); measured: at
+    # most 7.3e-16, r_ub of d3-max, and 4.5e-16 in bits
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    d, steps, branch = int(opts["--d"]), int(opts["--steps"]), BRANCH_OF_STATE[opts["--state"]]
+    bits = opts.get("--unit") == "bits"
+    scale, unit = (math.log2(d), mp.log(d, 2)) if bits else (1.0, 1)
+    if branch == LP_CGLMP_STATE:
+        lam, c = reference_tuned_state(d)
+        V_L, key = 2 / lam, reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
+    else:
+        V_L, key = 2 / reference_idmax(d), [1] + [0] * (d - 1)
+    lo, hi = mpf(opts["--v-min"]), mpf(opts["--v-max"])
+    points = keyrate_curve(d, branch, float(lo), float(hi), steps)
+    target = tmp_path / "curve.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    rows = list(csv.reader(target.read_text().splitlines()))[1:]
+    assert len(rows) == len(points) == steps
+    for i, (point, row) in enumerate(zip(points, rows)):
+        values = [point.V, point.qL, point.pa_term * scale, point.ec_term * scale,
+                  point.r_ub * scale]
+        assert row == [f"{v:.12g}" for v in values], i
+        V = mpf(point.V)
+        qL = min(1, (1 - V) / (1 - V_L))
+        h_ae, h_ab = 1 - qL, reference_entropy(key, V, d)
+        references = [lo + (hi - lo) * i / (steps - 1), qL, h_ae * unit, h_ab * unit,
+                      (h_ae - h_ab) * unit]
+        for name, value, reference in zip(("V", "qL", "H_AE", "H_AB", "r_ub"), values, references):
+            assert abs(value - reference) <= 4e-15 * scale, (i, name)
 
 
 def reference_vcrit(V_L, ec):
