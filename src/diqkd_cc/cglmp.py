@@ -173,7 +173,8 @@ def _idmax_passes(ds: list[int]) -> list[list[float]]:
 def _idmax_series(d: int) -> float:
     """idmax_closed_form of one d in stdlib math: _idmax_term with math.sin
     for each k, the terms added by one math.fsum."""
-    return 4.0 * d * fsum(_idmax_term(k, d, 2.0 * d**3, sin) for k in range(d // 2))
+    c = 2.0 * d**3
+    return 4.0 * d * fsum(_idmax_term(k, d, c, sin) for k in range(d // 2))
 
 
 def _idmax_column(ds) -> list[float]:

@@ -13,6 +13,7 @@ import sys
 from math import log2
 
 from . import cglmp, keyrate, polytope, quantum, svgplot
+from .scenario import _check_dimension
 
 TABLE_HEADER = "d,vcrit_max,vcrit_cglmp"
 
@@ -48,7 +49,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def cmd_idmax(args) -> int:
-    d = quantum.check_born_table_dimension(args.d)
+    d = _check_dimension(args.d, quantum.BORN_TABLE_MAX_D, "Born-table")
     closed = cglmp.idmax_closed_form(d)
     table = quantum.cglmp_born_table(quantum.maximally_entangled_state(d))
     born = cglmp.cglmp_value(table)

@@ -11,12 +11,12 @@ from math import isfinite, log, pi, sqrt
 import numpy as np
 
 from .cglmp import CATALAN, LOCAL_BOUND, _idmax_column
-from .polytope import check_visibility_lp_dimension, difference_visibility
+from .polytope import VISIBILITY_LP_MAX_D, difference_visibility
 from .quantum import (
+    TUNED_STATE_MAX_D,
     _cglmp_toeplitz,
     _key_differences,
     _top_eigenpair,
-    check_tuned_state_dimension,
     difference_distribution,
 )
 from .scenario import CorrelationTable, _check_dimension, _check_visibility
@@ -26,6 +26,12 @@ ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
 LP_MAX_ENTANGLED = "lp-max-entangled"
 LP_CGLMP_STATE = "lp-cglmp-state"
 BRANCHES = (ANALYTIC_MAX_ENTANGLED, LP_MAX_ENTANGLED, LP_CGLMP_STATE)
+#: Each branch's d-limit, and its name in the message (_check_branch).
+_BRANCH_LIMITS = {
+    ANALYTIC_MAX_ENTANGLED: (None, ""),
+    LP_MAX_ENTANGLED: (VISIBILITY_LP_MAX_D, "visibility-LP"),
+    LP_CGLMP_STATE: (TUNED_STATE_MAX_D, "tuned-state"),
+}
 
 #: Bisection stops once the bracket is narrower than this.
 BISECTION_WIDTH = 1e-8
@@ -62,16 +68,17 @@ class CriticalVisibility:
 
 def _entropy(p: np.ndarray, given, d: int) -> float:
     """-sum p log_d(p / given) over the cells where p and given (a scalar or
-    an array of p's shape) both exceed ZERO_PROBABILITY, so 0 log 0 := 0.
-    With given = 1 this is the Shannon entropy of p, with Bob's marginal the
-    conditional entropy H(A|B). The rate's flat pass (_rate_terms) repeats
-    its arithmetic and summation order for a column of mixed tables."""
+    an array of p's shape) both exceed ZERO_PROBABILITY, so 0 log 0 := 0;
+    the other cells stay in the sum as zeros. With given = 1 this is the
+    Shannon entropy of p, with Bob's marginal the conditional entropy H(A|B).
+    The rate's flat pass (_rate_terms) repeats its arithmetic and summation
+    order for a column of mixed tables."""
     keep = p > ZERO_PROBABILITY
     if np.ndim(given):
         keep &= given > ZERO_PROBABILITY
-        given = given[keep]
-    kept = p[keep]
-    return float(-(kept * np.log(kept / given)).sum() / log(d))
+    log_ratio = np.divide(p, given, out=np.zeros_like(p), where=keep)
+    np.log(log_ratio, out=log_ratio, where=keep)
+    return float(-(p * log_ratio).sum() / log(d))
 
 
 def shannon_base_d(p, d: int) -> float:
@@ -122,26 +129,27 @@ def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
     return qNL * shannon_base_d(alice_marginal_at_key, d)
 
 
+def _branch_limit(branch: str) -> tuple[int | None, str]:
+    """The branch's (limit, name) from _BRANCH_LIMITS; ValueError for an
+    unknown branch."""
+    if branch not in BRANCHES:
+        raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
+    return _BRANCH_LIMITS[branch]
+
+
 def _check_branch(d, branch: str) -> int:
-    """d as a Python int, held to the branch's own limit: VISIBILITY_LP_MAX_D
-    on LP_MAX_ENTANGLED, TUNED_STATE_MAX_D on LP_CGLMP_STATE, none on the
-    analytic branch. ValueError for an unknown branch, whatever d is. Every
-    public entry point calls it before any state, eigensolve or LP."""
-    if branch == ANALYTIC_MAX_ENTANGLED:
-        return _check_dimension(d)
-    if branch == LP_MAX_ENTANGLED:
-        return check_visibility_lp_dimension(d)
-    if branch == LP_CGLMP_STATE:
-        return check_tuned_state_dimension(d)
-    raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
+    """d as a Python int, held to the branch's own limit (_BRANCH_LIMITS).
+    ValueError for an unknown branch, whatever d is. Every public entry point
+    calls it before any state, eigensolve or LP."""
+    return _check_dimension(d, *_branch_limit(branch))
 
 
 def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """(V_L, D_key) of the branch for every d in ds: the array of the largest
     visibilities at which its mixed tables are still local, and the list of
     the ideal tables' key-setting difference distributions D(k|keyX,keyY)
-    (None on the analytic branch). Unchecked: every d and the branch have
-    passed _check_branch. Single-d callers take the one-element case.
+    (None on the analytic branch). Unchecked: the branch and every d have
+    been checked as _check_branch does. Single-d callers take the one-element case.
 
     Analytic branch: V_L = 2/I_d^max for the whole column from one
     cglmp._idmax_column call, which evaluates the closed form's terms as a
@@ -218,8 +226,7 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
     Off the analytic branch each call takes the entropy of every mixed D_key,
     m = V D_key + (1 - V)/d, in one array pass per _rate_passes pass with
     _entropy's arithmetic and summation order, so each ec is
-    _entropy(m, m.sum(), d) to the bit. At V == 1, m = D_key, whose zero cells
-    _entropy drops (which regroups its pairwise sum): those take _entropy."""
+    _entropy(m, m.sum(), d) to the bit, zero cells included."""
     d = np.array(ds, dtype=float)  # every d is exact in float64
     passes = [] if keys is None else _rate_passes(keys)
 
@@ -238,8 +245,6 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
             ratio = m / np.add.reduceat(m, starts).repeat(sizes)
             t = m * np.log(ratio, out=np.zeros_like(m), where=m > ZERO_PROBABILITY)
             ec[a:b] = -np.add.reduceat(t, starts) / ln_d
-        for e in np.flatnonzero(V == 1.0):
-            ec[e] = _entropy(keys[e], keys[e].sum(), ds[e])
         return qL, 1.0 - qL, ec
     return terms
 
@@ -307,9 +312,8 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     comes from one _resources call: on the analytic branch one closed-form
     evaluation in array passes, on the others one eigensolve or LP per d.
     """
-    ds = [_check_branch(d, branch) for d in ds]
-    if not ds:
-        _check_branch(2, branch)  # an empty column still rejects an unknown branch
+    limit = _branch_limit(branch)
+    ds = [_check_dimension(d, *limit) for d in ds]
     VL, keys = _resources(ds, branch)
     terms = _rate_terms(ds, VL, keys)
 

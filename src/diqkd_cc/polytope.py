@@ -70,10 +70,6 @@ class StrategyCapExceeded(ValueError):
     """Scenario has more deterministic strategies than STRATEGY_CAP."""
 
 
-class VisibilityLPTooLarge(ValueError):
-    """d is above VISIBILITY_LP_MAX_D."""
-
-
 class DecompositionInfeasible(RuntimeError):
     """Observed table is not in the convex hull of {strategies} u {pNL};
     residual is the white-noise weight that would bring it into the hull."""
@@ -115,17 +111,6 @@ def check_strategy_cap(scenario: Scenario) -> None:
     n = scenario.n_strategies
     if n > STRATEGY_CAP:
         raise StrategyCapExceeded(f"{n} strategies exceed the cap of {STRATEGY_CAP}")
-
-
-def check_visibility_lp_dimension(d) -> int:
-    """d as a Python int (TypeError or ValueError for a d that is not an
-    integer >= 2); VisibilityLPTooLarge if d > VISIBILITY_LP_MAX_D. Called
-    before a state, a table or the LP is built."""
-    d = _check_dimension(d)
-    if d > VISIBILITY_LP_MAX_D:
-        raise VisibilityLPTooLarge(
-            f"d = {d} exceeds the visibility-LP limit d <= {VISIBILITY_LP_MAX_D}")
-    return d
 
 
 def enumerate_strategies(scenario: Scenario) -> Iterator[DeterministicStrategy]:

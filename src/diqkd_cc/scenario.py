@@ -18,15 +18,20 @@ NORMALIZATION_TOL = 1e-9
 NO_SIGNALING_TOL = 1e-9
 
 
-def _check_dimension(d) -> int:
+def _check_dimension(d, limit: int | None = None, name: str = "") -> int:
     """d as a Python int: TypeError unless it is integral (NumPy integers
-    included), ValueError unless d >= 2."""
+    included), ValueError unless d >= 2 and, given a limit, d <= limit. The
+    one place a d-limit is checked; callers pass the limit of what they are
+    about to build (TUNED_STATE_MAX_D, BORN_TABLE_MAX_D, VISIBILITY_LP_MAX_D)
+    and its name for the message."""
     try:
         d = operator.index(d)
     except TypeError:
         raise TypeError(f"d must be an integer, got {d!r}") from None
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d}")
+    if limit is not None and d > limit:
+        raise ValueError(f"d = {d} exceeds the {name} limit d <= {limit}")
     return d
 
 

@@ -136,8 +136,8 @@ def test_column_splits_one_d_across_passes():
 
 def test_column_holds_one_large_d_in_bounded_memory():
     # 100,000 terms of one d over 13 passes: a layout that evaluated each d
-    # in one pass would hold all of them at once; and 2.25 M terms in runs
-    # of whole d's
+    # in one pass would hold all of them at once; and 2.25 M terms in fixed
+    # slices cut at the d boundaries they meet
     cglmp._idmax_column(range(2, 10))
     for ds in ([200_000], range(2, 3001)):
         tracemalloc.start()

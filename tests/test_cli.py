@@ -41,7 +41,7 @@ def test_idmax_above_born_table_limit_fails_before_any_allocation(monkeypatch, c
     monkeypatch.setattr(quantum, "maximally_entangled_state", refuse)
     limit = quantum.BORN_TABLE_MAX_D
     assert limit == 512
-    assert quantum.check_born_table_dimension(limit) == limit
+    assert scenario._check_dimension(limit, quantum.BORN_TABLE_MAX_D, "Born-table") == limit
     for d in (limit + 1, 20_000):
         tracemalloc.start()
         try:

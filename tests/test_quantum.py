@@ -3,6 +3,7 @@
 The d^2 x d^2 CGLMP operator below is the oracle for the d x d Toeplitz
 eigensolve that the package runs; no package code builds it."""
 from dataclasses import dataclass
+from itertools import product
 from math import pi, sqrt
 
 import numpy as np
@@ -171,21 +172,25 @@ def test_maximally_entangled_state(d):
 
 def test_optimal_phase_layout():
     # Bell settings take the optimal phases; Bob's key setting reuses Alice's
-    # key phase so outcomes correlate exactly
-    d = 3
+    # key phase so outcomes correlate exactly. Every one of the six setting
+    # pairs is the chained product <a_x| Psi |b_y> to the bit, with each
+    # basis built once
     alice = CGLMP_ALICE_PHASES
     bob = CGLMP_BOB_PHASES + (alice[1],)
     rng = np.random.default_rng(7)
-    amp = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
-    state = PureState(d=d, amplitudes=amp / np.linalg.norm(amp))
-    t = cglmp_born_table(state)
-    Psi = state.amplitudes.reshape(d, d)
-    for x, alpha in enumerate(alice):
-        for y, beta in enumerate(bob):
-            Va = fourier_basis(d, alpha).vectors
-            Vb = fourier_basis(d, beta, conjugate=True).vectors
-            expected = np.abs(np.einsum("aq,qr,br->ab", Va.conj(), Psi, Vb.conj())) ** 2
-            assert np.allclose(t.p[:, :, x, y], expected, atol=1e-14)
+    for d in (2, 3, 7, 16, 64):
+        amp = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+        random_state = PureState(d=d, amplitudes=amp / np.linalg.norm(amp))
+        for state in (random_state, maximally_entangled_state(d), cglmp_state(d)):
+            t = cglmp_born_table(state)
+            Psi = state.amplitudes.reshape(d, d)
+            for (x, alpha), (y, beta) in product(enumerate(alice), enumerate(bob)):
+                Va = fourier_basis(d, alpha).vectors
+                Vb = fourier_basis(d, beta, conjugate=True).vectors
+                expected = np.abs(np.einsum("aq,qr,br->ab", Va.conj(), Psi, Vb.conj())) ** 2
+                assert np.allclose(t.p[:, :, x, y], expected, atol=1e-14)
+                chained = np.abs(Va.conj() @ Psi @ Vb.conj().T) ** 2
+                assert np.array_equal(t.p[:, :, x, y], chained)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
