@@ -33,9 +33,6 @@ _BRANCH_LIMITS = {
     LP_CGLMP_STATE: (TUNED_STATE_MAX_D, "tuned-state"),
 }
 
-#: Bisection stops once the bracket is narrower than this.
-BISECTION_WIDTH = 1e-8
-
 #: Probabilities below this are treated as exact zeros in entropies.
 ZERO_PROBABILITY = 1e-300
 
@@ -95,17 +92,21 @@ def ec_term_isotropic(d: int, V: float) -> float:
     correlated table: 1 - [(1+(d-1)V)/d] log_d(1+(d-1)V) - [(d-1)(1-V)/d] log_d(1-V)."""
     d = _check_dimension(d)
     _check_visibility(V)
-    return float(_ec_isotropic(d, V))
+    return float(_ec_isotropic(d)(V))
 
 
-def _ec_isotropic(d, V):
-    """ec_term_isotropic elementwise over arrays d and V, unchecked."""
-    ln_d = np.log(d)
-    big = 1.0 + (d - 1) * V
-    small = 1.0 - V
-    # small is 0 or at least 2^-53; at 0 the clip keeps 0 log 0 at 0
-    small_log = np.log(np.maximum(small, ZERO_PROBABILITY))
-    return 1.0 - big / d * (np.log(big) / ln_d) - (d - 1) * small / d * (small_log / ln_d)
+def _ec_isotropic(d):
+    """V -> ec_term_isotropic(d, V) elementwise over d (a scalar or an array)
+    and V, unchecked; log d and d - 1 are taken once, here."""
+    ln_d, d_1 = np.log(d), d - 1
+
+    def ec(V):
+        big = 1.0 + d_1 * V
+        small = 1.0 - V
+        # small is 0 or at least 2^-53; at 0 the clip keeps 0 log 0 at 0
+        small_log = np.log(np.maximum(small, ZERO_PROBABILITY))
+        return 1.0 - big / d * (np.log(big) / ln_d) - d_1 * small / d * (small_log / ln_d)
+    return ec
 
 
 def ec_term_general(t: CorrelationTable) -> float:
@@ -229,11 +230,13 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
     _entropy(m, m.sum(), d) to the bit, zero cells included."""
     d = np.array(ds, dtype=float)  # every d is exact in float64
     passes = [] if keys is None else _rate_passes(keys)
+    ec_isotropic = _ec_isotropic(d) if keys is None else None
+    width = 1.0 - VL  # of [V_L, 1]
 
     def terms(V):
-        qL = np.minimum(1.0, (1.0 - V) / (1.0 - VL))  # 1 below V_L
+        qL = np.minimum(1.0, (1.0 - V) / width)  # 1 below V_L
         if keys is None:
-            return qL, 1.0 - qL, _ec_isotropic(d, V)
+            return qL, 1.0 - qL, ec_isotropic(V)
         # H(A|B) of the shift-invariant mixed table is the entropy of its
         # difference distribution m; the log of m / sum m (Bob's marginal
         # over 1/d) keeps it exact where m is one point
@@ -275,39 +278,62 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     return _keyrate_points(d, [V], branch)[0]
 
 
-def _bisect(f, lo, hi, labels=None):
-    """Elementwise bisection of f on the brackets [lo, hi] (scalars or
-    arrays of one shape), where f(lo) <= 0 <= f(hi). f takes and returns
-    arrays of that shape. Every bracket halves at each step until it is
-    narrower than BISECTION_WIDTH and then stays frozen, so each one sees the
-    midpoints of a scalar bisection. Returns the final midpoints; labels
-    (one per bracket, in flat order) name a failing bracket in the error."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    f_lo, f_hi = np.asarray(f(lo)), np.asarray(f(hi))
-    bad = np.flatnonzero(~((f_lo <= 0.0) & (0.0 <= f_hi)))
+def _roots(f, lo, hi, labels=None):
+    """Elementwise Anderson-Bjorck false position (BIT 13, 253 (1973)) of f
+    on the brackets [lo, hi] (scalars or arrays of one shape), where
+    f(lo) <= 0 <= f(hi). f takes and returns arrays of that shape. Returns
+    (x, f(x)): per bracket, the end with the smaller |f| once no float lies
+    strictly inside it, or the first point where f is exactly 0; labels (one
+    per bracket, in flat order) name a failing bracket in the error.
+
+    Each step takes the secant point of every open bracket from its ends'
+    weights g, moved one float in from an end it reaches or passes. The point
+    replaces the end of its sign, so the root stays bracketed; that end's g
+    becomes f there, and the other end's g is scaled by m = 1 - f/g(replaced),
+    or by 1/2 if m <= 0, which keeps the stale end from pinning the secant.
+    g keeps each end's sign, so no secant divides by 0. A closed bracket is
+    never written again, so each one ends where its scalar solve ends."""
+    x = np.array([lo, hi], dtype=float)
+    fx = np.array([f(x[0]), f(x[1])])
+    bad = np.flatnonzero(~((fx[0] <= 0.0) & (0.0 <= fx[1])))
     if bad.size:
         i = bad[0]
         where = f"{labels[i]}: " if labels is not None else ""
         raise BracketError(
-            f"{where}no sign change on [{lo.flat[i]:.6f}, {hi.flat[i]:.6f}]: "
-            f"f(lo)={f_lo.flat[i]:.3e}, f(hi)={f_hi.flat[i]:.3e}")
+            f"{where}no sign change on [{x[0].flat[i]:.6f}, {x[1].flat[i]:.6f}]: "
+            f"f(lo)={fx[0].flat[i]:.3e}, f(hi)={fx[1].flat[i]:.3e}")
+    x[1] = np.where(fx[0] == 0.0, x[0], x[1])
+    x[0] = np.where(fx[1] == 0.0, x[1], x[0])
+    sign = np.reshape([-1.0, 1.0], (2,) + (1,) * (x.ndim - 1))  # f's at lo and at hi
+    g = np.where(fx * sign > 0.0, fx, sign)
     while True:
-        mid = 0.5 * (lo + hi)
-        open_ = hi - lo > BISECTION_WIDTH
+        inner = np.nextafter(x, x[::-1])
+        open_ = inner[0] < x[1]
         if not open_.any():
-            return mid[()]
-        below = f(mid) <= 0.0
-        lo = np.where(open_ & below, mid, lo)
-        hi = np.where(open_ & ~below, mid, hi)
+            pick = np.abs(fx[0]) <= np.abs(fx[1])
+            return np.where(pick, x[0], x[1])[()], np.where(pick, fx[0], fx[1])[()]
+        c = x[0] + (x[1] - x[0]) * (g[0] / (g[0] - g[1]))
+        c = np.fmin(np.fmax(c, inner[0]), inner[1])
+        fc = f(c)
+        # c replaces the end of its sign; at an exact 0 it replaces both ends
+        # in x and fx and leaves g, which stays nonzero, as it was
+        side = fc * sign
+        replaced = (side > 0.0) & open_
+        moved = ~(side < 0.0) & open_
+        m = 1.0 - fc / g[::-1]  # each end's scale when the other one is replaced
+        g = np.where(replaced, fc, np.where(replaced[::-1], g * np.where(m > 0.0, m, 0.5), g))
+        x = np.where(moved, c, x)
+        fx = np.where(moved, fc, fx)
 
 
 def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[CriticalVisibility]:
     """Root of r_ub(V) on [V_L(d), 1] for every d in ds, in ds order.
 
-    One elementwise bisection (width 1e-8) advances all brackets together;
-    r_ub is monotone and changes sign on each. Every d gets the midpoints,
-    and so the result, of its own scalar bisection: critical_visibility(d)
-    is the one-element case. Every d is held to the branch's limit
+    One elementwise false-position solve (_roots) advances all brackets
+    together; r_ub is monotone and changes sign on each. Every d gets the
+    steps, and so the result, of its own scalar solve: critical_visibility(d)
+    is the one-element case. residual is the r_ub the solve evaluated at
+    v_crit, a few ulps. Every d is held to the branch's limit
     (_check_branch) before the first eigensolve or LP. The column's V_L
     comes from one _resources call: on the analytic branch one closed-form
     evaluation in array passes, on the others one eigensolve or LP per d.
@@ -321,9 +347,9 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
         _, pa, ec = terms(V)
         return pa - ec
 
-    v = _bisect(f, VL, np.ones_like(VL), labels=[f"d = {d}" for d in ds])
-    return [CriticalVisibility(d=d, branch=branch, v_crit=float(vc), residual=float(r))
-            for d, vc, r in zip(ds, v, f(v))]
+    v, r = _roots(f, VL, np.ones_like(VL), labels=[f"d = {d}" for d in ds])
+    return [CriticalVisibility(d=d, branch=branch, v_crit=vc, residual=res)
+            for d, vc, res in zip(ds, v.tolist(), r.tolist())]
 
 
 def critical_visibility(d: int, branch: str = ANALYTIC_MAX_ENTANGLED) -> CriticalVisibility:

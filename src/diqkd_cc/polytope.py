@@ -288,13 +288,12 @@ def max_local_visibility(t: CorrelationTable, pNL: CorrelationTable | None = Non
     If t (and pNL) are shift-invariant, the same LP is solved exactly on
     their difference distributions D with a1 = 0 and u = 1/d, as
     difference_visibility does: 8d + 1 rows and 3d^2 + 1 columns. Raises
-    ValueError for tables of different scenarios or with a non-finite entry.
+    ValueError for tables of different scenarios (CorrelationTable rejects a
+    non-finite entry when it is built).
     """
     tables = [t] if pNL is None else [t, pNL]
     if pNL is not None and pNL.scenario != t.scenario:
         raise ValueError("observed and nonlocal tables use different scenarios")
-    if not all(np.isfinite(x.p).all() for x in tables):
-        raise ValueError("table has a non-finite entry")
     vectors = [_difference_vector(x) for x in tables]
     shift = all(v is not None for v in vectors)
     if not shift:

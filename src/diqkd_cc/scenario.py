@@ -56,7 +56,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class CorrelationTable:
-    """Dense p[a-1, b-1, x-1, y-1] = p(a,b|x,y)."""
+    """Dense p[a-1, b-1, x-1, y-1] = p(a,b|x,y). ValueError for a shape
+    other than (d, d, nA, nB) or a non-finite cell."""
     scenario: Scenario
     p: np.ndarray
 
@@ -67,6 +68,8 @@ class CorrelationTable:
         arr = np.array(self.p, dtype=float, order="C")
         if arr.shape != expected:
             raise ValueError(f"table shape {arr.shape} != {expected}")
+        if not np.isfinite(arr).all():
+            raise ValueError("table has a non-finite entry")
         arr.setflags(write=False)
         object.__setattr__(self, "p", arr)
 

@@ -99,8 +99,8 @@ def test_table_d2_to_d3(capsys):
     assert float(d3[1]) == pytest.approx(0.82043, abs=5e-5)
     assert float(d3[2]) == pytest.approx(0.82101, abs=5e-5)
     assert out == ("d,vcrit_max,vcrit_cglmp\n"
-                   "2,0.829994692464,0.829994692464\n"
-                   "3,0.820427375034,0.82101395195\n")
+                   "2,0.829994696478,0.829994696478\n"
+                   "3,0.820427375146,0.821013947778\n")
 
 
 def test_table_max_only_leaves_cglmp_column_empty(capsys):
@@ -130,11 +130,11 @@ def test_table_analytic_sweep_is_pinned(capsys):
     code, out, err = run(["table", "--state", "max", "--d-min", "2", "--d-max", "1000"], capsys)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e82c5b21f980cb75883a8dc9b6bc9387433cb8a9e59deba0a0cf1fbb77b3850e")
+        "6751bbe6e8f411f2ccd49dec1d021dae9ce40c34f5fcbc6157acabb4dc29a862")
 
 
 def test_table_rows_do_not_depend_on_their_neighbours(capsys):
-    # the whole column is bisected at once, yet each row is its own bisection
+    # the whole column is solved at once, yet each row is its own solve
     code, sweep, _ = run(["table", "--state", "max", "--d-min", "2", "--d-max", "1000"], capsys)
     assert code == 0
     code, part, err = run(["table", "--state", "max", "--d-min", "500", "--d-max", "510"], capsys)
@@ -163,7 +163,7 @@ def test_table_tuned_state_d16(capsys):
     # d = 16 is under the visibility-LP limit, so the cglmp cell is filled
     code, out, err = run(["table", "--d-min", "16", "--d-max", "16"], capsys)
     assert code == 0
-    assert out == f"{TABLE_HEADER}\n16,0.79507918344,0.796066603029\n"
+    assert out == f"{TABLE_HEADER}\n16,0.795079187433,0.796066603253\n"
     assert err == ""
 
 
@@ -172,7 +172,7 @@ def test_table_fills_tuned_state_cells_past_the_lp_limit(capsys):
     # longer empties a vcrit_cglmp cell
     code, out, err = run(["table", "--d-min", "32", "--d-max", "32"], capsys)
     assert code == 0 and err == ""
-    assert out == f"{TABLE_HEADER}\n32,0.788792313666,0.789370422166\n"
+    assert out == f"{TABLE_HEADER}\n32,0.788792314448,0.789370421846\n"
     d = polytope.VISIBILITY_LP_MAX_D + 1
     code, out, err = run(["table", "--d-min", str(d), "--d-max", str(d)], capsys)
     assert code == 0 and err == ""
@@ -774,9 +774,9 @@ def test_benchmark_names_are_kept():
 #: --d-max 16`, the gated outputs of the critical-visibility tables.
 GATED_TABLES = {
     ("table", "--d-min", "2", "--d-max", "8"):
-        "7d79b1eaa3334997cebb69fea9b6248a4443752401432da4b2a4400808c2bd3f",
+        "7e1a1f128af57fa9c91949ef7b8f4cc22be5a6335d2eb2c421ca7f6cf5291ece",
     ("table", "--state", "cglmp", "--d-min", "2", "--d-max", "16"):
-        "d76401763bbc0e5e0cae7378c29fb55a7640248cacf08fcd57012af57b51a8db",
+        "3d2bd63b9589e803479d62a646fbb310c460f0b3c30f1d4af628fb0f4a16f807",
 }
 
 

@@ -36,7 +36,7 @@ from diqkd_cc import (
     vcrit_asymptotic,
 )
 from diqkd_cc import keyrate, polytope, quantum
-from diqkd_cc.keyrate import _bisect
+from diqkd_cc.keyrate import _roots
 from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
 from diqkd_cc.scenario import Scenario
 
@@ -366,7 +366,7 @@ def test_qubit_lower_bound_stays_below_upper_bound():
     for V in np.linspace(0.72, 1.0, 281):
         assert _rate_lower_bound_d2(float(V)) <= keyrate_point(
             2, float(V), ANALYTIC_MAX_ENTANGLED).r_ub + 1e-12
-    v_lb = _bisect(_rate_lower_bound_d2, 0.8, 0.9)
+    v_lb, _ = _roots(_rate_lower_bound_d2, 0.8, 0.9)
     assert v_lb == pytest.approx(0.85702, abs=5e-6)
     assert (1.0 - v_lb) / 2.0 == pytest.approx(0.0715, abs=5e-5)
     v_ub = critical_visibility(2).v_crit
@@ -380,7 +380,7 @@ def test_critical_visibility_analytic_d2():
     res = critical_visibility(2)
     assert res.branch == ANALYTIC_MAX_ENTANGLED
     assert res.v_crit == pytest.approx(0.82999, abs=5e-5)
-    assert abs(res.residual) < 1e-6
+    assert abs(res.residual) < 1e-15
 
 
 def test_critical_visibility_lp_agrees_with_analytic():
@@ -396,7 +396,7 @@ def test_critical_visibility_tuned_state_d3():
 @pytest.mark.parametrize("branch", [ANALYTIC_MAX_ENTANGLED, LP_CGLMP_STATE])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_critical_visibility_residual_is_keyrate_point_r_ub(d, branch):
-    # the bisection and the public record evaluate one rate formula
+    # the root finder and the public record evaluate one rate formula
     res = critical_visibility(d, branch)
     assert res.residual == keyrate_point(d, res.v_crit, branch).r_ub
 
@@ -565,7 +565,7 @@ def test_batch_bracket_error_names_its_dimension(monkeypatch):
     # an EC term of -1 at d = 5 makes its rate positive at V_L already
     real = keyrate._ec_isotropic
     monkeypatch.setattr(keyrate, "_ec_isotropic",
-                        lambda d, V: np.where(d == 5, -1.0, real(d, V)))
+                        lambda d: lambda V: np.where(d == 5, -1.0, real(d)(V)))
     with pytest.raises(BracketError, match=r"^d = 5: no sign change on \[0\.\d{6}, 1\.000000\]"):
         critical_visibilities([3, 4, 5, 6])
 
@@ -579,14 +579,15 @@ def test_critical_visibility_decreasing_and_bounded():
 def test_tuned_state_falls_below_max_entangled_at_d69():
     # beyond the paper's d <= 8: the tuned state needs a higher visibility than
     # the maximally entangled one up to d = 68 and a lower one from d = 69 on
-    # (Zohren & Gill, PRL 100, 120406 (2008) for CGLMP at large d). The gap at
-    # d = 69 is 200 bisection widths
+    # (Zohren & Gill, PRL 100, 120406 (2008) for CGLMP at large d). Each root
+    # is solved until r_ub is a few ulps of 1, and r_ub rises faster than 1
+    # per unit of V, so the gap at d = 69 is 10^9 times the roots' error
     tuned = critical_visibilities([68, 69], LP_CGLMP_STATE)
     maxent = critical_visibilities([68, 69])
     gap = [t.v_crit - m.v_crit for t, m in zip(tuned, maxent)]
-    assert gap[0] == pytest.approx(9.38e-6, abs=5e-8)
-    assert gap[1] == pytest.approx(-2.02e-6, abs=5e-8)
-    assert gap[0] > 100 * keyrate.BISECTION_WIDTH and gap[1] < -100 * keyrate.BISECTION_WIDTH
+    assert gap[0] == pytest.approx(9.3757e-6, abs=1e-10)
+    assert gap[1] == pytest.approx(-2.0148e-6, abs=1e-10)
+    assert max(abs(r.residual) for r in (*tuned, *maxent)) < 1e-15
 
 
 # ----------------------------------------------------------- PA-zero point
@@ -644,20 +645,63 @@ def test_curve_validates_arguments():
         keyrate_curve(2, ANALYTIC_MAX_ENTANGLED, 0.0, 1.5, 5)
 
 
-# ---------------------------------------------------------------- bisection
+# -------------------------------------------------------------- root finder
 
-def test_bisect_finds_root():
-    assert _bisect(lambda v: v - 0.5, 0.0, 1.0) == pytest.approx(0.5, abs=1e-8)
+def test_roots_finds_root():
+    assert _roots(lambda v: v - 0.5, 0.0, 1.0) == (0.5, 0.0)
+    root, residual = _roots(lambda v: v**3 - 0.2, 0.0, 1.0)
+    assert abs(root - 0.2 ** (1 / 3)) <= math.ulp(root)
+    assert residual == root**3 - 0.2
 
 
-def test_bisect_requires_bracket():
+def test_roots_returns_an_exact_zero_end():
+    # f(lo) = 0 or f(hi) = 0 closes the bracket on that end at once
+    for lo, hi in ((0.5, 1.0), (0.0, 0.5)):
+        assert _roots(lambda v: v - 0.5, lo, hi) == (0.5, 0.0)
+    calls = []
+    assert _roots(lambda v: calls.append(v) or v - 0.5, np.array([0.5, 0.0]),
+                  np.array([0.9, 0.5]))[0].tolist() == [0.5, 0.5]
+    assert len(calls) == 2
+
+
+def test_roots_requires_bracket():
     with pytest.raises(BracketError):
-        _bisect(lambda v: v + 1.0, 0.0, 1.0)
+        _roots(lambda v: v + 1.0, 0.0, 1.0)
 
 
-def test_bisect_freezes_each_bracket_at_its_own_width():
-    # brackets of different widths halve a different number of times, and
-    # each ends at the midpoint of its own scalar bisection
-    lo, hi = np.array([0.0, 0.4, 0.45]), np.array([1.0, 0.6, 0.5 + 3e-9])
-    roots = _bisect(lambda v: v - 0.5, lo, hi)
-    assert roots.tolist() == [_bisect(lambda v: v - 0.5, a, b) for a, b in zip(lo, hi)]
+def test_roots_closes_each_bracket_on_its_own():
+    # the brackets take different numbers of steps; each closed one stays
+    # fixed to the bit while the others go on, so it ends where its scalar
+    # solve ends
+    def f(v):
+        steps[-1] += 1
+        return v**3 - 0.2
+
+    lo, hi = np.array([0.0, 0.5, 0.58, 0.2]), np.array([1.0, 0.6, 0.59, 0.2 ** (1 / 3)])
+    steps = [0]
+    roots, residuals = _roots(f, lo, hi)
+    scalar = []
+    for a, b in zip(lo, hi):
+        steps.append(0)
+        scalar.append(_roots(f, a, b))
+    assert len(set(steps[1:])) > 1 and steps[0] == max(steps[1:])
+    assert roots.tolist() == [float(x) for x, _ in scalar]
+    assert residuals.tolist() == [float(r) for _, r in scalar]
+
+
+@pytest.mark.parametrize("branch, ds", [(ANALYTIC_MAX_ENTANGLED, range(2, 1001)),
+                                        (LP_CGLMP_STATE, range(2, 8))])
+def test_critical_visibilities_evaluate_the_rate_a_few_times(branch, ds, monkeypatch):
+    # false position closes every bracket of the column in 8 or 9 rate
+    # evaluations, both ends included
+    evaluations = []
+    rate_terms = keyrate._rate_terms
+
+    def counted(*args):
+        terms = rate_terms(*args)
+        return lambda V: evaluations.append(V.size) or terms(V)
+
+    monkeypatch.setattr(keyrate, "_rate_terms", counted)
+    critical_visibilities(ds, branch)
+    assert 0 < len(evaluations) <= 10
+    assert set(evaluations) == {len(ds)}

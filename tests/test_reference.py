@@ -6,8 +6,9 @@ maximally entangled state it sums the closed form of I_d^max; all at 40
 digits. A printed cell must be the reference's rounding to 12 significant
 digits (12 decimals for idmax), the kernels of quantum and cglmp must be
 within a few ulps of it, and the tuned state's EC term within its rounding.
-Table cells come from the bisection replayed at 40 digits; every cell of the
-gated curves is within 4e-15 of the reference before its rounding."""
+A table cell must be the rounding of the reference r_ub's root, solved to
+40 digits; every cell of the gated curves is within 4e-15 of the reference
+before its rounding."""
 import csv
 import math
 
@@ -17,7 +18,6 @@ import pytest
 from diqkd_cc import LP_CGLMP_STATE, keyrate_curve, local_visibility
 from diqkd_cc.cglmp import _idmax_column
 from diqkd_cc.cli import BRANCH_OF_STATE, main
-from diqkd_cc.keyrate import BISECTION_WIDTH
 from diqkd_cc.quantum import _SETTING_SHIFTS, _cglmp_toeplitz, cglmp_state, difference_distribution
 from diqkd_cc.scenario import Scenario
 from test_cli import GATED_CURVES
@@ -180,17 +180,11 @@ def test_gated_curve_cells_are_within_a_few_ulps_of_the_reference(argv, tmp_path
 
 
 def reference_vcrit(V_L, ec):
-    """keyrate._bisect on [V_L, 1] at 40 digits: each step's sign from the
-    reference r_ub(V) = 1 - qL - ec(V), qL = min(1, (1 - V)/(1 - V_L));
-    returns the final midpoint."""
-    lo, hi = V_L, mpf(1)
-    while hi - lo > BISECTION_WIDTH:
-        mid = (lo + hi) / 2
-        if 1 - min(1, (1 - mid) / (1 - V_L)) - ec(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    """The root on [V_L, 1] of the reference r_ub(V) = 1 - qL - ec(V), where
+    qL = (1 - V)/(1 - V_L), by mpmath's bracketed Anderson-Bjorck solver at 40
+    digits."""
+    return mp.findroot(lambda V: 1 - (1 - V) / (1 - V_L) - ec(V), (V_L, mpf(1)),
+                       solver="anderson")
 
 
 def table_cells(argv, capsys):
@@ -201,8 +195,8 @@ def table_cells(argv, capsys):
 
 
 def test_table_cells_are_the_reference_rounding(capsys):
-    # every cell is the 12-digit rounding of the replayed reference midpoint;
-    # all 999 analytic cells to d = 1000 are too (17 s, so the test samples)
+    # every cell is the 12-digit rounding of the reference root; the test
+    # samples the 999 analytic cells to d = 1000
     tuned = table_cells(["--state", "cglmp", "--d-min", "2", "--d-max", "16"], capsys)
     for d in range(2, 17):
         lam, c = reference_tuned_state(d)

@@ -75,6 +75,15 @@ def test_table_shape_checked():
         CorrelationTable(Scenario(d=2), np.zeros((2, 2, 2, 2)))
 
 
+@pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_table_rejects_a_non_finite_cell(cell):
+    p = np.full((2, 2, 2, 3), 0.25)
+    p[1, 0, 1, 2] = cell
+    with pytest.raises(ValueError, match="non-finite"):
+        CorrelationTable(Scenario(d=2), p)
+
+
 def test_table_is_read_only():
     t = uniform_table(Scenario(d=2))
     with pytest.raises(ValueError):

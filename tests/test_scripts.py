@@ -37,7 +37,7 @@ def test_visibility_vs_dimension_finds_the_crossover(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "vcrit_vs_d.csv").read_text().splitlines()
     assert rows[0] == "d,vcrit_max,vcrit_cglmp,limit"
-    assert rows[2].startswith("3,0.820427375034,0.82101395195,")
+    assert rows[2].startswith("3,0.820427375146,0.821013947778,")
     assert len(rows) == 70
     assert ("tuned state below the maximally entangled one from d = 69 "
-            "(vcrit_cglmp - vcrit_max = -2.02e-06)") in proc.stdout
+            "(vcrit_cglmp - vcrit_max = -2.01e-06)") in proc.stdout
