@@ -25,13 +25,13 @@ from .scenario import CorrelationTable, _check_dimension, _check_visibility
 ANALYTIC_MAX_ENTANGLED = "analytic-max-entangled"
 LP_MAX_ENTANGLED = "lp-max-entangled"
 LP_CGLMP_STATE = "lp-cglmp-state"
-BRANCHES = (ANALYTIC_MAX_ENTANGLED, LP_MAX_ENTANGLED, LP_CGLMP_STATE)
 #: Each branch's d-limit, and its name in the message (_check_branch).
 _BRANCH_LIMITS = {
     ANALYTIC_MAX_ENTANGLED: (None, ""),
     LP_MAX_ENTANGLED: (VISIBILITY_LP_MAX_D, "visibility-LP"),
     LP_CGLMP_STATE: (TUNED_STATE_MAX_D, "tuned-state"),
 }
+BRANCHES = tuple(_BRANCH_LIMITS)
 
 #: Probabilities below this are treated as exact zeros in entropies.
 ZERO_PROBABILITY = 1e-300
@@ -64,27 +64,29 @@ class CriticalVisibility:
 
 
 def _entropy(p: np.ndarray, given, d: int) -> float:
-    """-sum p log_d(p / given) over the cells where p and given (a scalar or
-    an array of p's shape) both exceed ZERO_PROBABILITY, so 0 log 0 := 0;
-    the other cells stay in the sum as zeros. With given = 1 this is the
-    Shannon entropy of p, with Bob's marginal the conditional entropy H(A|B).
-    The rate's flat pass (_rate_terms) repeats its arithmetic and summation
-    order for a column of mixed tables."""
+    """-sum p log_d(p / given) over the cells where p exceeds
+    ZERO_PROBABILITY, so 0 log 0 := 0; the other cells stay in the sum as
+    zeros. given is 1, the sum of p, or Bob's marginal for H(A|B): each at
+    least p cellwise. The rate's flat pass (_rate_terms) repeats its
+    arithmetic and summation order for a column of mixed tables."""
     keep = p > ZERO_PROBABILITY
-    if np.ndim(given):
-        keep &= given > ZERO_PROBABILITY
     log_ratio = np.divide(p, given, out=np.zeros_like(p), where=keep)
     np.log(log_ratio, out=log_ratio, where=keep)
     return float(-(p * log_ratio).sum() / log(d))
 
 
-def shannon_base_d(p, d: int) -> float:
-    """Shannon entropy in base-d units with 0 log 0 := 0. ValueError unless
-    every probability is finite and non-negative."""
+def _probabilities(p) -> np.ndarray:
+    """p as a float array; ValueError unless every cell is finite and non-negative."""
     p = np.asarray(p, dtype=float)
     if not (np.isfinite(p) & (p >= 0.0)).all():
         raise ValueError(f"probabilities must be finite and non-negative, got {p}")
-    return _entropy(p, 1.0, _check_dimension(d))
+    return p
+
+
+def shannon_base_d(p, d: int) -> float:
+    """Shannon entropy in base-d units with 0 log 0 := 0. ValueError unless
+    every probability is finite and non-negative."""
+    return _entropy(_probabilities(p), 1.0, _check_dimension(d))
 
 
 def ec_term_isotropic(d: int, V: float) -> float:
@@ -112,10 +114,11 @@ def _ec_isotropic(d):
 def ec_term_general(t: CorrelationTable) -> float:
     """H(A|B) at the key settings of an arbitrary table, base-d.
 
-    Zero Bob-marginal cells contribute nothing.
+    Zero Bob-marginal cells contribute nothing. ValueError for a negative
+    key-setting cell.
     """
     s = t.scenario
-    joint = t.p[:, :, s.keyX - 1, s.keyY - 1]
+    joint = _probabilities(t.p[:, :, s.keyX - 1, s.keyY - 1])
     return _entropy(joint, np.broadcast_to(joint.sum(axis=0), joint.shape), s.d)
 
 
@@ -130,19 +133,15 @@ def pa_term_cc(qL: float, alice_marginal_at_key: np.ndarray) -> float:
     return qNL * shannon_base_d(alice_marginal_at_key, d)
 
 
-def _branch_limit(branch: str) -> tuple[int | None, str]:
-    """The branch's (limit, name) from _BRANCH_LIMITS; ValueError for an
-    unknown branch."""
-    if branch not in BRANCHES:
+def _check_branch(ds, branch: str) -> list[int]:
+    """Every d of ds as a Python int, held to the branch's own limit
+    (_BRANCH_LIMITS). ValueError for an unknown branch, before any d is
+    looked at. Every public entry point calls it before any state,
+    eigensolve or LP."""
+    limit = _BRANCH_LIMITS.get(branch)
+    if limit is None:
         raise ValueError(f"unknown branch {branch!r}; expected one of {BRANCHES}")
-    return _BRANCH_LIMITS[branch]
-
-
-def _check_branch(d, branch: str) -> int:
-    """d as a Python int, held to the branch's own limit (_BRANCH_LIMITS).
-    ValueError for an unknown branch, whatever d is. Every public entry point
-    calls it before any state, eigensolve or LP."""
-    return _check_dimension(d, *_branch_limit(branch))
+    return [_check_dimension(d, *limit) for d in ds]
 
 
 def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray] | None]:
@@ -189,32 +188,27 @@ def local_visibility(d: int, branch: str) -> float:
     2/I_d^max on the analytic branch, 2/lambda_max of the Toeplitz CGLMP
     operator for the tuned state, one visibility LP on LP_MAX_ENTANGLED (see
     _resources)."""
-    return float(_resources([_check_branch(d, branch)], branch)[0][0])
+    return float(_resources(_check_branch([d], branch), branch)[0][0])
 
 
-def _rate_passes(keys: list[np.ndarray]) -> list[tuple]:
-    """keys in passes of at most _RATE_PASS cells (or one element):
-    (a, b, flat, sizes, starts, ln_d) for elements a..b-1, flat being their
-    D_key end to end, each after a leading 0.0 at offset starts, with sizes
-    cells and ln_d = math.log(d) per element. The zero makes np.add.reduceat
-    of a segment equal its D_key's own sum(), which also adds from 0.0. A
-    curve repeats one D_key, so its full passes share one layout."""
-    firsts, cells = [], 0
-    for e, k in enumerate(keys):
-        if not firsts or cells + k.size + 1 > _RATE_PASS:
-            firsts.append(e)
-            cells = 0
-        cells += k.size + 1
-    layouts, passes = {}, []
-    for a, b in zip(firsts, [*firsts[1:], len(keys)]):
-        ident = tuple(map(id, keys[a:b]))
-        if ident not in layouts:
-            sizes = np.array([k.size + 1 for k in keys[a:b]])
-            flat = np.concatenate([x for k in keys[a:b] for x in (np.zeros(1), k)])
-            ln_d = np.array([log(k.size) for k in keys[a:b]])
-            layouts[ident] = flat, sizes, np.cumsum(sizes) - sizes, ln_d
-        passes.append((a, b, *layouts[ident]))
-    return passes
+def _rate_passes(keys: list[np.ndarray]):
+    """keys in passes of at most _RATE_PASS cells (or one element), each
+    built when it is reached: (a, b, flat, sizes, starts, ln_d) for elements
+    a..b-1, flat being their D_key end to end, each after a leading 0.0 at
+    offset starts, with sizes cells and ln_d = math.log(d) per element. The
+    zero makes np.add.reduceat of a segment equal its D_key's own sum(), which
+    also adds from 0.0."""
+    a = 0
+    while a < len(keys):
+        b, cells = a + 1, keys[a].size + 1
+        while b < len(keys) and cells + keys[b].size + 1 <= _RATE_PASS:
+            cells += keys[b].size + 1
+            b += 1
+        part = keys[a:b]
+        sizes = np.array([k.size + 1 for k in part])
+        flat = np.concatenate([x for k in part for x in (np.zeros(1), k)])
+        yield a, b, flat, sizes, np.cumsum(sizes) - sizes, np.array([log(k.size) for k in part])
+        a = b
 
 
 def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
@@ -222,14 +216,15 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
     V (a 1-D array of len(ds)), so that r_ub = pa - ec; see keyrate_point.
     V_L is a scalar or such an array; keys is None on the analytic branch,
     else one D_key per element (see _resources). Unchecked: the public entry
-    points check d and V. All that does not depend on V is built here, once.
+    points check d and V. The arrays of d and V_L are built here, once; the
+    passes over the keys per call, so between calls terms holds no copy of
+    the keys.
 
     Off the analytic branch each call takes the entropy of every mixed D_key,
     m = V D_key + (1 - V)/d, in one array pass per _rate_passes pass with
     _entropy's arithmetic and summation order, so each ec is
     _entropy(m, m.sum(), d) to the bit, zero cells included."""
     d = np.array(ds, dtype=float)  # every d is exact in float64
-    passes = [] if keys is None else _rate_passes(keys)
     ec_isotropic = _ec_isotropic(d) if keys is None else None
     width = 1.0 - VL  # of [V_L, 1]
 
@@ -242,7 +237,7 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
         # over 1/d) keeps it exact where m is one point
         white = (1.0 - V) / d
         ec = np.empty(len(ds))
-        for a, b, flat, sizes, starts, ln_d in passes:
+        for a, b, flat, sizes, starts, ln_d in _rate_passes(keys):
             m = V[a:b].repeat(sizes) * flat + white[a:b].repeat(sizes)
             m[starts] = 0.0
             ratio = m / np.add.reduceat(m, starts).repeat(sizes)
@@ -273,7 +268,7 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     takes the isotropic EC term; the LP branches take H_d(V D_key + (1-V)/d)
     of the ideal table's key-setting difference distribution D_key.
     """
-    d = _check_branch(d, branch)
+    d, = _check_branch([d], branch)
     _check_visibility(V)
     return _keyrate_points(d, [V], branch)[0]
 
@@ -338,8 +333,7 @@ def critical_visibilities(ds, branch: str = ANALYTIC_MAX_ENTANGLED) -> list[Crit
     comes from one _resources call: on the analytic branch one closed-form
     evaluation in array passes, on the others one eigensolve or LP per d.
     """
-    limit = _branch_limit(branch)
-    ds = [_check_dimension(d, *limit) for d in ds]
+    ds = _check_branch(ds, branch)
     VL, keys = _resources(ds, branch)
     terms = _rate_terms(ds, VL, keys)
 
@@ -373,7 +367,7 @@ def keyrate_curve(d: int, branch: str, v_min: float, v_max: float,
     """keyrate_point on a uniform visibility grid, endpoints included, from
     one V_L per curve (one eigensolve for the tuned state, one LP on
     LP_MAX_ENTANGLED)."""
-    d = _check_branch(d, branch)
+    d, = _check_branch([d], branch)
     if not (0.0 <= v_min < v_max <= 1.0):
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")
     if steps < 2:

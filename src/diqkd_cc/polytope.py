@@ -264,8 +264,7 @@ def max_local_weight(observed: CorrelationTable, pNL: CorrelationTable) -> CcDec
     q = res.x
     reconstructed = A_eq @ q
     max_residual = float(np.max(np.abs(reconstructed - b_eq)))
-    weights = {int(i): (0.0 if q[i] < 0 else float(q[i]))
-               for i in np.nonzero(q[:n] > 1e-12)[0]}
+    weights = {int(i): float(q[i]) for i in np.nonzero(q[:n] > 1e-12)[0]}
     qNL = max(0.0, float(q[n]))
     qL = max(0.0, float(-res.fun))
     return CcDecomposition(weights=weights, qNL=qNL, qL=qL, max_residual=max_residual)

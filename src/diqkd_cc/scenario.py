@@ -100,7 +100,7 @@ class ValidationReport:
 def validate(t: CorrelationTable) -> ValidationReport:
     """Report positivity/normalization/no-signaling residuals (report-only)."""
     p = t.p
-    pos = float(max(np.max(-p, initial=0.0), np.max(p - 1.0, initial=0.0), 0.0))
+    pos = float(max(np.max(-p, initial=0.0), np.max(p - 1.0, initial=0.0)))
     norm = float(np.max(np.abs(p.sum(axis=(0, 1)) - 1.0)))
     # Alice marginal p(a|x) must not depend on y; Bob's not on x
     mA = p.sum(axis=1)                       # (a, x, y)

@@ -38,7 +38,7 @@ from diqkd_cc import (
 from diqkd_cc import keyrate, polytope, quantum
 from diqkd_cc.keyrate import _roots
 from diqkd_cc.quantum import cglmp_born_table, cglmp_state, maximally_entangled_state
-from diqkd_cc.scenario import Scenario
+from diqkd_cc.scenario import CorrelationTable, Scenario
 
 
 def _ideal_table(d: int, branch: str):
@@ -128,6 +128,15 @@ def test_ec_general_tuned_state_keeps_residual_errors():
     ec = ec_term_general(t)
     assert ec == pytest.approx(0.0617980483, abs=1e-6)
     assert ec > ec_term_isotropic(3, 1.0)
+
+
+def test_ec_general_rejects_a_negative_key_cell():
+    # unchecked, these key cells give 0.0246
+    s = Scenario(d=3)
+    p = np.zeros((s.d, s.d, s.nA, s.nB))
+    p[:, :, s.keyX - 1, s.keyY - 1] = [[0.5, 0.0, 0.0], [-0.2, 0.3, 0.0], [0.1, 0.0, 0.3]]
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        ec_term_general(CorrelationTable(s, p))
 
 
 def test_pa_term_boundaries():
@@ -249,6 +258,8 @@ def test_unknown_branch_is_named_at_any_d(d):
         lambda: keyrate_point(d, 0.9, "bogus"),
         lambda: keyrate_curve(d, "bogus", 0.5, 1.0, 3),
         lambda: local_visibility(d, "bogus"),
+        lambda: critical_visibility(d, "bogus"),
+        lambda: critical_visibilities([d], "bogus"),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"^unknown branch 'bogus'"):
@@ -525,6 +536,23 @@ def test_flat_rate_pass_is_the_per_element_entropy(branch, ds, monkeypatch):
         n = len(Vs)
         curve = keyrate._rate_terms([d] * n, vl, [key] * n)
         assert curve(Vs)[2].tolist() == _mixed_entropies([d] * n, Vs, [key] * n), d
+
+
+def test_rate_terms_keep_no_copy_of_their_keys():
+    # a column of key sizes 2..1024 holds 4.27 MB when terms keeps its passes
+    # between calls, 17 KB when each call builds them
+    ds = list(range(2, 1025))
+    keys = [np.full(d, 1.0 / d) for d in ds]
+    VL = np.full(len(ds), 0.7)
+    tracemalloc.start()
+    try:
+        terms = keyrate._rate_terms(ds, VL, keys)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 100_000
+    # the uniform D_key mixes to the uniform distribution: entropy 1
+    assert np.allclose(terms(np.full(len(ds), 0.9))[2], 1.0, rtol=0, atol=1e-14)
 
 
 def test_tuned_curve_memory_is_its_eigensolve():

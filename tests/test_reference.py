@@ -220,3 +220,31 @@ def test_tuned_table_cell_is_the_reference_rounding_to_d32(d, capsys):
     key = reference_differences(c)[:, Scenario.keyX - 1, Scenario.keyY - 1]
     v_crit = reference_vcrit(2 / lam, lambda V: reference_entropy(key, V, d))
     assert tuned == {d: ["", mp.nstr(v_crit, 12)]}
+
+
+def reference_ec_isotropic(V, d):
+    """The isotropic EC term at 40 digits, its small log(small) term 0 at V = 1."""
+    big, small = 1 + (d - 1) * V, 1 - V
+    small_log = small * mp.log(small) if small else 0
+    return 1 - (big * mp.log(big) + (d - 1) * small_log) / (d * mp.log(d))
+
+
+#: Analytic cells whose root lies within about one ulp of a 12-digit tie, with
+#: the root's rounding: 0.76677794492650009... and 0.76629460322250005...
+TIE_CELLS = [(30522, "0.766777944927"), (46087, "0.766294603223")]
+
+
+@pytest.mark.parametrize("d, cell", TIE_CELLS)
+def test_tie_cell_is_the_reference_rounding(d, cell):
+    # 1 to 1.5 s per d: the closed form of I_d^max sums d/2 terms
+    v_crit = reference_vcrit(2 / reference_idmax(d), lambda V: reference_ec_isotropic(V, d))
+    assert mp.nstr(v_crit, 12) == cell
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a float root cannot decide a cell within "
+                          "about one ulp of a 12-digit tie; the table prints the last digit 1 low")
+@pytest.mark.parametrize("d, cell", TIE_CELLS)
+def test_table_prints_the_tie_cell_reference_rounding(d, cell, capsys):
+    analytic = table_cells(["--state", "max", "--d-min", str(d), "--d-max", str(d)], capsys)
+    assert analytic == {d: [cell, ""]}
