@@ -69,16 +69,12 @@ def cmd_vcrit(args) -> int:
     return 0
 
 
-def _vcrit_column(ds: range, branch: str) -> list[str]:
-    """One table column from one critical_visibilities call."""
-    return [f"{r.v_crit:.12g}" for r in keyrate.critical_visibilities(ds, branch)]
-
-
 def cmd_table(args) -> int:
     if args.d_min < 2 or args.d_max < args.d_min:
         raise ValueError(f"need 2 <= d-min <= d-max, got [{args.d_min}, {args.d_max}]")
     ds = range(args.d_min, args.d_max + 1)
-    columns = [_vcrit_column(ds, branch) if args.state in (state, "both") else [""] * len(ds)
+    columns = [[f"{r.v_crit:.12g}" for r in keyrate.critical_visibilities(ds, branch)]
+               if args.state in (state, "both") else [""] * len(ds)
                for state, branch in BRANCH_OF_STATE.items()]
     lines = [TABLE_HEADER, *(",".join([str(d), *cells]) for d, *cells in zip(ds, *columns))]
     _write_text(args.out, "\n".join(lines) + "\n")

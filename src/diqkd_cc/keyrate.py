@@ -12,13 +12,7 @@ import numpy as np
 
 from .cglmp import CATALAN, LOCAL_BOUND, _idmax_column
 from .polytope import VISIBILITY_LP_MAX_D, difference_visibility
-from .quantum import (
-    TUNED_STATE_MAX_D,
-    _cglmp_toeplitz,
-    _key_differences,
-    _top_eigenpair,
-    difference_distribution,
-)
+from .quantum import TUNED_STATE_MAX_D, _key_differences, _tuned_eigenpair, difference_distribution
 from .scenario import CorrelationTable, _check_dimension, _check_visibility
 
 #: Branch labels: how the nonlocal resource and the local weight are obtained.
@@ -174,7 +168,7 @@ def _resources(ds: list[int], branch: str) -> tuple[np.ndarray, list[np.ndarray]
     VL, keys = [], []
     for d in ds:
         if branch == LP_CGLMP_STATE:
-            lam, c = _top_eigenpair(_cglmp_toeplitz(d))
+            lam, c = _tuned_eigenpair(d)
             VL.append(LOCAL_BOUND / lam)
         else:
             c = np.full(d, 1.0 / sqrt(d))
@@ -230,8 +224,9 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
 
     def terms(V):
         qL = np.minimum(1.0, (1.0 - V) / width)  # 1 below V_L
+        pa = np.maximum(0.0, V - VL) / width  # = 1 - qL; V - V_L is exact, V_L >= 1/2
         if keys is None:
-            return qL, 1.0 - qL, ec_isotropic(V)
+            return qL, pa, ec_isotropic(V)
         # H(A|B) of the shift-invariant mixed table is the entropy of its
         # difference distribution m; the log of m / sum m (Bob's marginal
         # over 1/d) keeps it exact where m is one point
@@ -243,7 +238,7 @@ def _rate_terms(ds: list[int], VL, keys: list[np.ndarray] | None):
             ratio = m / np.add.reduceat(m, starts).repeat(sizes)
             t = m * np.log(ratio, out=np.zeros_like(m), where=m > ZERO_PROBABILITY)
             ec[a:b] = -np.add.reduceat(t, starts) / ln_d
-        return qL, 1.0 - qL, ec
+        return qL, pa, ec
     return terms
 
 
@@ -264,7 +259,8 @@ def keyrate_point(d: int, V: float, branch: str) -> KeyRatePoint:
     The mixed table lies on the segment from white noise to the ideal table,
     where Eve's maximal local weight is qL = min(1, (1-V)/(1-V_L)). Every
     table here depends on the outcomes only through b - a, so Alice's key
-    marginal is uniform and pa = 1 - qL on every branch. The analytic branch
+    marginal is uniform and pa = 1 - qL on every branch, taken as
+    max(0, V - V_L)/(1 - V_L), which does not cancel. The analytic branch
     takes the isotropic EC term; the LP branches take H_d(V D_key + (1-V)/d)
     of the ideal table's key-setting difference distribution D_key.
     """
@@ -372,6 +368,4 @@ def keyrate_curve(d: int, branch: str, v_min: float, v_max: float,
         raise ValueError(f"need 0 <= v_min < v_max <= 1, got [{v_min}, {v_max}]")
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    grid = np.linspace(v_min, v_max, steps)
-    grid[0], grid[-1] = v_min, v_max
-    return _keyrate_points(d, grid.tolist(), branch)
+    return _keyrate_points(d, np.linspace(v_min, v_max, steps).tolist(), branch)

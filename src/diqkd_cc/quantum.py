@@ -192,7 +192,13 @@ def cglmp_state(d: int) -> PureState:
     for d >= 3 (non-uniform Schmidt spectrum).
     """
     d = _check_dimension(d, TUNED_STATE_MAX_D, "tuned-state")
-    return _diagonal_state(_top_eigenpair(_cglmp_toeplitz(d))[1])
+    return _diagonal_state(_tuned_eigenpair(d)[1])
+
+
+def _tuned_eigenpair(d: int) -> tuple[float, np.ndarray]:
+    """The tuned state's CGLMP value lambda_max and amplitudes c_q: the top
+    eigenpair of _cglmp_toeplitz(d). Unchecked, as _cglmp_toeplitz is."""
+    return _top_eigenpair(_cglmp_toeplitz(d))
 
 
 def difference_distribution(c: np.ndarray) -> np.ndarray:
@@ -207,11 +213,11 @@ def difference_distribution(c: np.ndarray) -> np.ndarray:
         raise ValueError("amplitudes must be a 1-D array of finite numbers")
     d = _check_dimension(c.size)
     twisted = c * np.exp(2j * pi / d * np.multiply.outer(_SETTING_SHIFTS, np.arange(d)))
-    return np.moveaxis(np.abs(ifft(twisted, norm="forward")) ** 2 / d, -1, 0)
+    return np.moveaxis(_key_differences(twisted), -1, 0)
 
 
 def _key_differences(c: np.ndarray) -> np.ndarray:
     """The key-setting column D[:, keyX-1, keyY-1] of difference_distribution,
-    alone: s_xy is 0 at the key pair, so it is |inverse DFT of c_q|^2 / d,
-    with the same operations as that column. Unchecked."""
-    return np.abs(ifft(c, norm="forward")) ** 2 / len(c)
+    alone: s_xy is 0 at the key pair, so it is |inverse DFT of c_q|^2 / d.
+    difference_distribution applies it along the last axis. Unchecked."""
+    return np.abs(ifft(c, norm="forward")) ** 2 / c.shape[-1]

@@ -353,6 +353,15 @@ def test_check_local_inside_polytope(capsys):
     assert out == "d=3 vtilde=0: local (slack 0.000e+00, tolerance 1e-09)\n"
 
 
+def test_curve_negative_zero_start_prints_as_0(tmp_path, capsys):
+    # as check-local's vtilde, a -0 grid start prints as 0
+    target = tmp_path / "curve.csv"
+    code, _, _ = run(["curve", "--d", "2", "--v-min", "-0", "--v-max", "1", "--steps", "3",
+                      "--out", str(target)], capsys)
+    assert code == 0
+    assert target.read_text().splitlines()[1].split(",")[0] == "0"
+
+
 def test_check_local_outside_polytope(capsys):
     code, out, _ = run(["check-local", "--d", "3", "--vtilde", "0.73"], capsys)
     assert code == 0
@@ -589,24 +598,32 @@ def test_vcrit_tuned_state_solves_no_lp(lp_counter, capsys):
 def test_tuned_state_runs_on_amplitudes_alone(lp_counter, monkeypatch, capsys):
     # a cold vcrit builds no Born table and solves no LP: one d x d Toeplitz
     # eigensolve gives c_q and lambda_max, V_L = 2/lambda_max, and the rate
-    # reads the key-setting column of D(k|x,y), the DFT of c_q
+    # reads the key-setting column of D(k|x,y), the DFT of c_q. Every caller
+    # reaches the eigensolve through quantum._tuned_eigenpair.
     def refuse(*args):
         raise AssertionError("Born table or visibility LP built")
 
     monkeypatch.setattr(quantum, "cglmp_born_table", refuse)
     monkeypatch.setattr(keyrate, "difference_visibility", refuse)
     eigensolves = []
-    solve = keyrate._top_eigenpair
+    solve = quantum._top_eigenpair
 
     def counted(matrix):
         eigensolves.append(matrix.shape)
         return solve(matrix)
 
-    monkeypatch.setattr(keyrate, "_top_eigenpair", counted)
+    monkeypatch.setattr(quantum, "_top_eigenpair", counted)
     code, out, _ = run(["vcrit", "--d", "3", "--state", "cglmp"], capsys)
     assert code == 0
     assert out == "d=3 state=cglmp method=lp vcrit=0.82101\n"
     assert eigensolves == [(3, 3)]
+    eigensolves.clear()
+    code, _, _ = run(["table", "--state", "cglmp", "--d-min", "2", "--d-max", "5"], capsys)
+    assert code == 0
+    assert eigensolves == [(2, 2), (3, 3), (4, 4), (5, 5)]
+    eigensolves.clear()
+    quantum.cglmp_state(4)
+    assert eigensolves == [(4, 4)]
     assert lp_counter == []
 
 

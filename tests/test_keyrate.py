@@ -242,9 +242,11 @@ def test_rub_lp_tuned_state_at_unit_visibility():
 
 def test_keyrate_point_dispatch():
     a = keyrate_point(2, 0.9, ANALYTIC_MAX_ENTANGLED)
-    qL = (1.0 - 0.9) / (1.0 - local_visibility_max_entangled(2))
+    VL = local_visibility_max_entangled(2)
+    qL = (1.0 - 0.9) / (1.0 - VL)
+    pa = max(0.0, 0.9 - VL) / (1.0 - VL)
     ec = ec_term_isotropic(2, 0.9)
-    b = KeyRatePoint(V=0.9, qL=qL, pa_term=1.0 - qL, ec_term=ec, r_ub=(1.0 - qL) - ec,
+    b = KeyRatePoint(V=0.9, qL=qL, pa_term=pa, ec_term=ec, r_ub=pa - ec,
                      branch=ANALYTIC_MAX_ENTANGLED)
     assert a == b
     with pytest.raises(ValueError, match="branch"):
@@ -306,14 +308,15 @@ def test_closed_form_weight_matches_per_point_lp(d, branch):
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_lp_rate_terms_are_the_public_term_functions(d, branch):
     # the rate reads the ideal table's difference distribution only: the key
-    # marginal is uniform, so pa = 1 - qL exactly, and ec is H(A|B) of the
-    # mixed table, which pa_term_cc and ec_term_general give on the whole
-    # table up to rounding
+    # marginal is uniform, so pa = 1 - qL, taken as max(0, V - V_L)/(1 - V_L),
+    # and ec is H(A|B) of the mixed table, which pa_term_cc and
+    # ec_term_general give on the whole table up to rounding
     pNL = _ideal_table(d, branch)
     alice_key = pNL.p[:, :, pNL.scenario.keyX - 1, :].sum(axis=1).mean(axis=1)
+    VL = local_visibility(d, branch)
     for V in np.linspace(0.6, 1.0, 41):
         pt = keyrate_point(d, float(V), branch)
-        assert pt.pa_term == 1.0 - pt.qL
+        assert pt.pa_term == max(0.0, float(V) - VL) / (1.0 - VL)
         assert pt.pa_term == pytest.approx(pa_term_cc(pt.qL, alice_key), abs=1e-14)
         assert pt.ec_term == pytest.approx(
             ec_term_general(mix_with_white_noise(pNL, float(V))), abs=1e-14)
